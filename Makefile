@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench examples lint bench-smoke faults-smoke adversary-smoke serve-smoke chaos-smoke search-smoke perf-gate bench-gate bench-gate-update ci clean
+.PHONY: install test bench examples lint bench-smoke faults-smoke adversary-smoke serve-smoke chaos-smoke search-smoke e2e e2e-test perf-gate bench-gate bench-gate-update ci clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -66,6 +66,18 @@ chaos-smoke:
 search-smoke:
 	python scripts/search_smoke.py
 
+# End-to-end benchmark (BENCHMARK.json): four workloads (pipeline,
+# serve-open, serve-burst, search), end-to-end and per-layer metrics,
+# correctness checks; see benchmarks/e2e/README.md.
+e2e:
+	python3 -m benchmarks.e2e
+
+# The e2e benchmark's own tests: a smoke-scale run that checks every
+# declared metric, the golden values, batching invariance, and that
+# every trace hook still resolves to a serving/search function.
+e2e-test:
+	PYTHONPATH=src python -m pytest benchmarks/e2e
+
 # Consolidated perf gate, exactly as CI's perf-gate job runs it: one
 # regression.py invocation over every committed BENCH_*.json baseline
 # (adversarial, cache, campaign, search, serve, sharded, train),
@@ -91,6 +103,7 @@ ci: lint
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) search-smoke
+	$(MAKE) e2e-test
 	$(MAKE) bench-smoke
 	$(MAKE) perf-gate
 

@@ -574,7 +574,7 @@ def _serving_signature_names(service) -> list[str]:
     """Signature networks of the model currently serving ``default``."""
     from repro.serve import DEFAULT_CLUSTER
 
-    loaded = service._models.get(DEFAULT_CLUSTER)
+    loaded = service.router.models.get(DEFAULT_CLUSTER)
     if loaded is None:
         raise RuntimeError("registry has no default-cluster model to serve")
     return list(loaded.signature_names)

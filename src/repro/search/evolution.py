@@ -184,7 +184,7 @@ def run_search(
     out of the population naturally.
     """
     space = config.space
-    encoder = plane.service._enc.encoder
+    encoder = plane.service.encoder
     if space.max_network_layers > encoder.max_layers:
         raise ValueError(
             f"space can build {space.max_network_layers}-layer networks but the "

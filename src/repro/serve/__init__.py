@@ -1,4 +1,4 @@
-"""Latency-prediction serving layer (ROADMAP item 1).
+"""Latency-prediction serving layer.
 
 The collaborative cost model only pays off if a device can ask "how
 fast is network N on device D" at production rates. This package turns
@@ -10,23 +10,30 @@ the trained model into a long-lived, in-process service:
   retrain hot-swaps into the serving path without a restart;
 - :mod:`repro.serve.batcher` — a thread-safe micro-batching queue that
   coalesces up to ``max_batch`` requests (or whatever arrived within
-  ``max_wait_ms``) into one flat-SoA ``predict_binned`` call;
+  ``max_wait_ms``) into one flush;
 - :mod:`repro.serve.service` — the :class:`PredictionService` facade:
   sync / future / asyncio submission, warm device-signature cache,
-  unknown-network and cold-device miss handling, hot swap via
-  :meth:`~repro.serve.service.PredictionService.refresh`;
+  typed miss responses, hot swap via
+  :meth:`~repro.serve.service.PredictionService.refresh`, and the two
+  pieces every predict path shares — the fallback chain
+  (:meth:`~repro.serve.service.Router.chain`) and the scoring kernel
+  (:meth:`~repro.serve.service.PredictionService.score`, one flat-SoA
+  ``predict_block`` call per routed block);
+- :mod:`repro.serve.resilience` — bounded admission, circuit breakers,
+  the static fallback estimator and seeded serving chaos;
 - :mod:`repro.serve.loadgen` — a deterministic closed- and open-loop
   load generator (seeded request mix of warm / cold devices and
   unknown-network misses) reporting p50/p99 latency and throughput;
 - :mod:`repro.serve.bulk` — the :class:`BulkQueryPlane`: a
   generation-at-a-time query path for architecture-search consumers
   with content-hash dedup, an encoded-row LRU, incremental re-encoding
-  of mutated children, and one flat-SoA tree descent per block.
+  of mutated children, and one kernel call per block.
 
 Determinism contract: a prediction depends only on the (network,
 hardware-signature, model-version) triple — never on how requests were
-coalesced. Batched and single-request predictions are byte-identical
-(``tests/test_serve.py`` and the ``serve`` bench gate assert this).
+coalesced or which path asked. Single-request, micro-batched and bulk
+predictions are byte-identical (``tests/test_serve.py``,
+``tests/test_serve_bulk.py`` and the ``serve`` bench gate assert this).
 """
 
 from repro.serve.batcher import BatchStats, MicroBatcher

@@ -1,42 +1,31 @@
 """The bulk query plane: generation-sized prediction for search consumers.
 
-An evolutionary architecture search asks the cost model about 1-2k
-mostly-similar candidates per generation. Pushing those through the
-per-request ingress pays, per candidate, a queue round trip, a full
-from-scratch network encode, and its own (tiny) ``predict_binned``
-call. :class:`BulkQueryPlane` amortizes all three:
+An evolutionary search asks the cost model about 1-2k mostly-similar
+candidates per generation. Through the per-request ingress each would
+pay a queue round trip, a from-scratch encode and its own tiny
+``predict_block`` call. :class:`BulkQueryPlane` amortizes all three:
 
 1. **content-hash dedup** — candidates are keyed by
    :func:`~repro.core.representation.network_content_hash` (name
-   independent), so a duplicate inside a generation is predicted once,
-   and a candidate revisited generations later hits the prediction
-   cache;
-2. **encoding LRU** — encoded feature rows are cached per content
-   hash under an entry *and* byte budget, so population survivors and
-   elite candidates never re-encode;
+   independent): a duplicate inside a call is predicted once, and a
+   candidate revisited later hits the prediction LRU;
+2. **encoding LRU** — encoded rows are cached per content hash under an
+   entry *and* byte budget, so survivors and elites never re-encode;
 3. **incremental re-encode** — a child's encoding starts from its
    parent's cached rows
-   (:meth:`~repro.core.representation.NetworkEncoder.encode_network`):
-   only layers whose (operator, input shapes) changed are recomputed,
+   (:meth:`~repro.core.representation.NetworkEncoder.encode_network`),
    byte-identical to a full encode;
-4. **one flat-SoA call** — every uncached candidate in a
-   :meth:`BulkQueryPlane.predict_block` call is binned once and
-   predicted by a single
-   :meth:`~repro.ml.gbt.GradientBoostedTrees.predict_block` descent
-   per routed (cluster, model-version) group.
+4. **one kernel call** — the uncached, deduplicated rows of a block are
+   binned once and scored by the service's kernel
+   (:meth:`~repro.serve.service.PredictionService.score`) while the block
+   walks the same fallback chain as a micro-batch.
 
-Byte-identity contract: a bulk prediction equals the per-request and
-micro-batched prediction for the same (network, device, model
-version) — every amortization above is a *grouping* change, never a
-numeric one. The prediction cache is keyed by the routed model's
-(cluster, version), so :meth:`~repro.serve.service.PredictionService.
-refresh` hot-swaps invalidate it implicitly: a new version is a new
-key, and stale entries age out of the LRU.
-
-Telemetry (all under ``serve.bulk.*``): ``calls``, ``requests``,
-``predicted``, ``pred_hits``, ``dedup_hits``, ``enc_hits``,
-``enc_misses``, ``enc_evictions``, ``unencodable`` — surfaced as the
-``serve.bulk`` summary block.
+Byte-identity contract: a bulk answer equals the per-request and
+micro-batched answer for the same (network, device, model version) —
+every amortization is a grouping change, never a numeric one. The
+prediction cache is keyed by the answering model's (cluster, version),
+so a hot swap is a new key and stale entries age out of the LRU.
+Telemetry: ``serve.bulk.<stat>`` for every key of :attr:`stats`.
 """
 
 from __future__ import annotations
@@ -54,46 +43,27 @@ from repro.core.representation import EncodedNetwork, network_content_hash
 from repro.ml.binning import apply_bin_edges
 from repro.nnir.graph import Network
 from repro.serve.registry import DEFAULT_CLUSTER
-from repro.serve.resilience import TIER_PRIMARY
+from repro.serve.resilience import TIER_DEFAULT, TIER_STATIC
 from repro.serve.service import (
-    MISS_UNENCODABLE,
-    PredictionService,
-    PredictRequest,
-    PredictResponse,
+    MISS_UNENCODABLE, PredictionService, PredictRequest, PredictResponse,
 )
 
 __all__ = ["BulkQueryPlane"]
 
 _STAT_KEYS = (
-    "calls",
-    "requests",
-    "predicted",
-    "pred_hits",
-    "dedup_hits",
-    "enc_hits",
-    "enc_misses",
-    "enc_evictions",
-    "unencodable",
+    "calls", "requests", "predicted", "pred_hits", "dedup_hits",
+    "enc_hits", "enc_misses", "enc_evictions", "unencodable",
 )
 
 
 class BulkQueryPlane:
     """Generation-at-a-time facade over a :class:`PredictionService`.
 
-    Parameters
-    ----------
-    service:
-        The running prediction service whose models, warm-signature
-        cache and routing this plane reuses. The plane never mutates
-        the service; it only snapshots its model table per call.
-    max_encodings:
-        Entry budget of the encoded-row LRU.
-    max_encoding_bytes:
-        Optional byte budget of the encoded-row LRU (entries evict
-        oldest-first until under both budgets).
-    max_predictions:
-        Entry budget of the (network, model-version, signature)
-        prediction LRU.
+    The plane reuses the service's warm-signature cache, router and
+    scoring kernel, and never mutates the service. ``max_encodings`` and
+    the optional ``max_encoding_bytes`` budget the encoded-row LRU
+    (oldest evicted first); ``max_predictions`` budgets the
+    (network, model version, signature) prediction LRU.
     """
 
     def __init__(
@@ -143,7 +113,7 @@ class BulkQueryPlane:
             parent = self._enc_lru.get(parent_hash) if parent_hash else None
         self._count("enc_misses")
         try:
-            built = self.service._enc.encoder.encode_network(network, parent=parent)
+            built = self.service.encoder.encode_network(network, parent=parent)
         except ValueError:
             self._count("unencodable")
             return None
@@ -160,10 +130,11 @@ class BulkQueryPlane:
                 self._count("enc_evictions")
         return built
 
-    def _remember(self, key: tuple, latency_ms: float) -> None:
+    def _remember(self, predictions: Mapping[tuple, float]) -> None:
         with self._lock:
-            self._pred_lru[key] = latency_ms
-            self._pred_lru.move_to_end(key)
+            for key, latency_ms in predictions.items():
+                self._pred_lru[key] = latency_ms
+                self._pred_lru.move_to_end(key)
             while len(self._pred_lru) > self.max_predictions:
                 self._pred_lru.popitem(last=False)
 
@@ -189,16 +160,14 @@ class BulkQueryPlane:
     ) -> list[PredictResponse]:
         """Predict one device's latency for a block of candidates.
 
-        Returns one :class:`PredictResponse` per input network, in
-        input order — the same response type (and the same values, to
-        the byte) the per-request path produces. ``parent_hashes[i]``,
-        when given, names the content hash of candidate *i*'s parent so
-        a cache miss can re-encode incrementally.
-
-        The whole block routes against one snapshot of the service's
-        model table and one signature vector, so every row in the call
-        is answered by the same (cluster, version) model with one
-        flat-SoA tree descent over the uncached, deduplicated rows.
+        Returns one :class:`PredictResponse` per network, in input order,
+        equal to the byte to the per-request answer. ``parent_hashes[i]``
+        names candidate *i*'s parent so a cache miss re-encodes
+        incrementally. The block walks ``cluster``'s chain like one
+        micro-batch group: the first tier that answers serves every row,
+        cache hits included, with one kernel call over the uncached,
+        deduplicated rows; a refusing or failing tier hands the whole
+        block on, down to the static tier.
         """
         if parent_hashes is not None and len(parent_hashes) != len(networks):
             raise ValueError("parent_hashes must align with networks")
@@ -206,147 +175,80 @@ class BulkQueryPlane:
         self._count("calls")
         self._count("requests", len(networks))
         service = self.service
-        models = service._models  # one atomic snapshot for the whole block
-        stale = service._stale
-
-        def miss(network: Network, reason: str) -> PredictResponse:
-            telemetry.count(f"serve.miss.{reason}")
-            return PredictResponse(
-                network=network.name,
-                device=device,
-                cluster=cluster,
-                served_cluster=None,
-                model_version=None,
-                latency_ms=None,
-                error=reason,
-            )
-
-        def static_row(network: Network) -> PredictResponse:
-            # Degraded chain's tail for bulk rows: the static estimator
-            # (ad-hoc candidates are usually outside its suite means,
-            # so this typically resolves to a `degraded` miss).
-            probe = PredictRequest(
-                network=network.name,
-                device=device,
-                cluster=cluster,
-                signature_ms=signature_ms,
-            )
-            return service._static_response(probe)
-
-        loaded, tier = service._resolve_block(models, stale, cluster)
-        if loaded is None:
-            if tier is None and (cluster in models or DEFAULT_CLUSTER in models):
-                # Models exist but every breaker refused: degrade.
-                return [static_row(n) for n in networks]
-            return [miss(n, "no_model") for n in networks]
-        probe = PredictRequest(
-            network="", device=device, cluster=cluster, signature_ms=signature_ms
-        )
-        signature = service._signature_vector(probe, loaded)
-        if isinstance(signature, str):
-            service._breaker(loaded.key).cancel_probe()
-            return [miss(n, signature) for n in networks]
-
-        model_key = (loaded.checkpoint.cluster, loaded.checkpoint.version)
-        sig_key = hashlib.sha256(signature.tobytes()).hexdigest()[:16]
+        chain = service.router.chain(cluster)  # one snapshot for the whole block
         hashes = [network_content_hash(n) for n in networks]
+        flats: dict[str, np.ndarray | None] = {}  # content -> encoded row, per call
         responses: list[PredictResponse | None] = [None] * len(networks)
+        pending = list(range(len(networks)))
 
-        def ok(network: Network, latency_ms: float) -> PredictResponse:
-            return PredictResponse(
-                network=network.name,
-                device=device,
-                cluster=cluster,
-                served_cluster=loaded.checkpoint.cluster,
-                model_version=loaded.checkpoint.version,
-                latency_ms=latency_ms,
-                served_by=tier,
-            )
+        def request(i: int) -> PredictRequest:
+            return PredictRequest(networks[i].name, device, cluster, signature_ms)
 
-        # Pass 1: prediction-cache hits and within-call dedup.
-        first_seen: dict[str, int] = {}
-        deferred: list[int] = []
-        for i, content in enumerate(hashes):
-            key = (content, model_key, sig_key)
+        for n, (tier, loaded) in enumerate(chain):
+            if tier == TIER_STATIC or not pending:
+                break
+            signature = service.signature_vector(loaded, device, signature_ms)
+            if n == 0:  # the routed model decides whether the device is servable
+                if tier == TIER_DEFAULT:
+                    telemetry.count("serve.route.fallback", len(pending))
+                if isinstance(signature, str):
+                    for i in pending:
+                        responses[i] = service.miss(request(i), signature)
+                    pending = []
+            if isinstance(signature, str):
+                continue
+            # Prediction-cache hits and within-call dedup under this model.
+            model_key = loaded.key
+            sig_key = hashlib.sha256(signature.tobytes()).hexdigest()[:16]
+            hits: dict[int, float] = {}
+            first_seen: dict[str, int] = {}
+            dups = 0
             with self._lock:
-                cached = self._pred_lru.get(key)
-                if cached is not None:
-                    self._pred_lru.move_to_end(key)
-            if cached is not None:
-                self._count("pred_hits")
-                responses[i] = ok(networks[i], cached)
-                continue
-            if content in first_seen:
-                self._count("dedup_hits")
-                deferred.append(i)
-                continue
-            first_seen[content] = i
-
-        # Pass 2: encode the unique misses (incrementally when the
-        # parent's rows are cached), then ONE binned predict call.
-        predicted: dict[str, float] = {}
-        failed: set[str] = set()
-        flats: list[np.ndarray] = []
-        order: list[str] = []
-        for content, i in first_seen.items():
-            parent = parent_hashes[i] if parent_hashes is not None else None
-            encoded = self._encoding(networks[i], content, parent)
-            if encoded is None:
-                failed.add(content)
-                responses[i] = miss(networks[i], MISS_UNENCODABLE)
-                continue
-            flats.append(encoded.flat)
-            order.append(content)
-        breaker = service._breaker(loaded.key)
-        degraded: set[str] = set()
-        if flats:
-            fault = service.resilience.fault_plan
-            try:
-                if fault is not None and fault.draw(
-                    "predict", f"{loaded.key[0]}-v{loaded.key[1]}"
-                ):
-                    raise RuntimeError(f"injected predict failure: {loaded.key}")
-                net_codes = apply_bin_edges(np.stack(flats), loaded.net_edges)
-                hw_codes = apply_bin_edges(signature[None, :], loaded.hw_edges)
-                pred = loaded.model.regressor.predict_block(  # type: ignore[union-attr]
-                    net_codes, hw_codes[0]
+                for i in pending:
+                    key = (hashes[i], model_key, sig_key)
+                    cached = self._pred_lru.get(key)
+                    if cached is not None:
+                        self._pred_lru.move_to_end(key)
+                        hits[i] = cached
+                    elif hashes[i] in first_seen:
+                        dups += 1
+                    else:
+                        first_seen[hashes[i]] = i
+            # Encode the unique misses once per call (incrementally when
+            # the parent's rows are cached); unencodable rows miss here.
+            for content, i in first_seen.items():
+                if content not in flats:
+                    parent = parent_hashes[i] if parent_hashes is not None else None
+                    encoded = self._encoding(networks[i], content, parent)
+                    flats[content] = None if encoded is None else encoded.flat
+            for i in pending:
+                if i not in hits and flats[hashes[i]] is None:
+                    responses[i] = service.miss(request(i), MISS_UNENCODABLE)
+            pending = [i for i in pending if responses[i] is None]
+            order = [c for c in first_seen if flats[c] is not None]
+            net_codes = (
+                apply_bin_edges(np.stack([flats[c] for c in order]), loaded.net_edges)
+                if order
+                else np.empty((0, 0), dtype=np.uint8)
+            )
+            hw_codes = apply_bin_edges(signature[None, :], loaded.hw_edges)[0]
+            pred = service.score(loaded, net_codes, hw_codes, tier)
+            if pred is None:
+                continue  # the whole block falls to the next tier
+            self._count("pred_hits", len(hits))
+            self._count("dedup_hits", dups)
+            self._count("predicted", len(order))
+            predicted = dict(zip(order, map(float, pred)))
+            self._remember({(c, model_key, sig_key): v for c, v in predicted.items()})
+            for i in pending:
+                responses[i] = PredictResponse(
+                    networks[i].name, device, cluster,
+                    loaded.checkpoint.cluster, loaded.checkpoint.version,
+                    hits[i] if i in hits else predicted[hashes[i]], served_by=tier,
                 )
-            except Exception:
-                # The model failed this block: uncached rows fall to the
-                # static tier (never cached — they are degraded answers),
-                # cache hits above keep their model-attributed values.
-                telemetry.count("serve.resilience.predict_error")
-                breaker.record_failure()
-                degraded = set(order)
-                for content in order:
-                    i = first_seen[content]
-                    responses[i] = static_row(networks[i])
-            else:
-                breaker.record_success()
-                self._count("predicted", len(order))
-                telemetry.count(f"serve.served_by.{tier}", len(order))
-                if tier != TIER_PRIMARY:
-                    telemetry.count(f"serve.fallback.{tier}", len(order))
-                for content, value in zip(order, pred):
-                    latency_ms = float(value)
-                    predicted[content] = latency_ms
-                    self._remember((content, model_key, sig_key), latency_ms)
-                    i = first_seen[content]
-                    responses[i] = ok(networks[i], latency_ms)
-        else:
-            # Fully cache-hit (or fully unencodable) block: the breaker
-            # admission was never exercised, release any probe slot.
-            breaker.cancel_probe()
-
-        # Pass 3: resolve the deferred duplicates from this call's run.
-        for i in deferred:
-            content = hashes[i]
-            if content in failed:
-                responses[i] = miss(networks[i], MISS_UNENCODABLE)
-            elif content in degraded:
-                responses[i] = static_row(networks[i])
-            else:
-                responses[i] = ok(networks[i], predicted[content])
+            pending = []
+        for i in pending:
+            responses[i] = service.static_response(chain, request(i))
         telemetry.observe(
             "serve.bulk.block_ms", (time.perf_counter() - start) * 1e3
         )

@@ -1,39 +1,27 @@
 """Serving-plane resilience primitives: shedding, breakers, fallbacks.
 
-The ROADMAP's north star is a cost-model service under heavy traffic,
-and "Smart at what cost?" (PAPERS.md) shows the fleets feeding it are
-flaky. PR 3/PR 5 made the *measurement* side fault-tolerant; this
-module gives the *serving* side the same treatment, so overload, slow
-models and corrupt checkpoints degrade predictions gracefully instead
-of stalling callers:
+"Smart at what cost?" (PAPERS.md) shows the fleets feeding the cost
+model are flaky; this module lets the serving side degrade gracefully
+instead of stalling callers:
 
 - :class:`Overloaded` / :class:`DeadlineExceeded` — the typed shed
-  outcomes of the bounded ingress
-  (:class:`~repro.serve.batcher.MicroBatcher` with ``max_queue_depth``
-  and per-request deadlines). They surface as *responses* with a typed
-  miss reason at the service layer, exceptions only to raw batcher
-  users.
-- :class:`CircuitBreaker` — per-(cluster, version) failure isolation:
-  after ``failure_threshold`` consecutive load/predict failures the
-  breaker opens, requests skip the broken model and fall down the
-  degraded chain; after ``reset_after_s`` one probe request is let
-  through (half-open) and a success closes the breaker again.
+  outcomes of the bounded ingress (:class:`~repro.serve.batcher.
+  MicroBatcher` with ``max_queue_depth`` and per-request deadlines);
+  the service maps them to typed miss *responses*.
+- :class:`CircuitBreaker` — per-(cluster, version) failure isolation
+  with a half-open probe after a cooldown.
 - :class:`StaticEstimator` — the always-available last fallback tier:
-  per-cluster network latency means captured at publish time (they
-  live in the registry *manifest*, so they survive checkpoint
-  corruption), scaled by the device's signature speed ratio when
-  signature measurements are available.
-- :class:`ServeFaultPlan` — seeded chaos: slow flushes, checkpoint
-  corruption, registry I/O errors and predict-time exceptions, every
-  decision a pure function of ``(seed, kind, entity, attempt)`` via
-  the same :func:`repro.faults.unit_interval` keying (and the same
-  ``from_spec`` grammar) as the campaign-side
-  :class:`repro.faults.FaultPlan`. The same plan misbehaves
-  identically run after run, so every degradation path is exercised
-  deterministically.
+  publish-time per-cluster latency means kept in the registry
+  *manifest*, so they survive checkpoint corruption.
+- :class:`ServeFaultPlan` — seeded chaos (slow flushes, checkpoint
+  corruption, registry I/O errors, predict-time exceptions), every
+  decision a pure function of ``(seed, kind, entity, attempt)`` with
+  the same keying and ``from_spec`` grammar as
+  :class:`repro.faults.FaultPlan`.
 - :class:`ResilienceConfig` — the service-level knob bundle.
 
-Fallback tiers (the ``served_by`` tag on every successful response):
+Fallback tiers (the ``served_by`` tag on every successful response),
+walked in this order by :meth:`repro.serve.service.Router.chain`:
 
 ======== =======================================================
 tier     meaning
@@ -45,13 +33,10 @@ static   the publish-time per-cluster mean-latency estimator
 ======== =======================================================
 
 Determinism contract: with no faults injected and no shedding
-triggered, none of this machinery touches a prediction — the clean
-path stays byte-identical to the pre-resilience serving layer
-(asserted by ``tests/test_serve_resilience.py`` and
-``scripts/serve_chaos_smoke.py``). Overload shedding is deterministic
-given arrival order (a pure queue-depth check at submission); deadline
-expiry necessarily consults the wall clock and is the one documented
-exception.
+triggered, none of this machinery touches a prediction (asserted by
+``tests/test_serve_resilience.py`` and ``scripts/serve_chaos_smoke.py``).
+Overload shedding is deterministic given arrival order; deadline
+expiry consults the wall clock and is the one documented exception.
 """
 
 from __future__ import annotations
@@ -60,22 +45,17 @@ import math
 import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro import telemetry
 from repro.faults import parse_spec, unit_interval
+from repro.serve.registry import DEFAULT_CLUSTER
 
 __all__ = [
-    "TIERS",
-    "CircuitBreaker",
-    "DeadlineExceeded",
-    "Overloaded",
-    "ResilienceConfig",
-    "ServeFaultPlan",
-    "StaticEstimator",
-    "fit_static_estimate",
+    "TIERS", "CircuitBreaker", "DeadlineExceeded", "Overloaded", "ResilienceConfig",
+    "ServeFaultPlan", "StaticEstimator", "fit_static_estimate",
 ]
 
 #: Fallback tiers, best first — the ``served_by`` vocabulary.
@@ -94,11 +74,24 @@ class DeadlineExceeded(RuntimeError):
     """The request's deadline budget expired before it was served."""
 
 
-# ---------------------------------------------------------------------------
-# Seeded chaos
+#: Fault kind -> the stem of its ``*_probability`` / ``*_limit`` fields.
+_KIND_FIELDS = {
+    "slow_flush": "slow_flush",
+    "checkpoint_corrupt": "checkpoint_corrupt",
+    "registry_io": "registry_io",
+    "predict": "predict_failure",
+}
 
-
-_FAULT_KINDS = ("slow_flush", "checkpoint_corrupt", "registry_io", "predict")
+#: ``from_spec`` short aliases (every full field name is accepted too).
+_SPEC_SHORTHANDS = {
+    "slow_flush": "slow_flush_probability",
+    "corrupt_checkpoint": "checkpoint_corrupt_probability",
+    "checkpoint_corrupt": "checkpoint_corrupt_probability",
+    "registry_io": "registry_io_probability",
+    "predict_fail": "predict_failure_probability",
+    "predict_failure": "predict_failure_probability",
+    "predict_fail_limit": "predict_failure_limit",
+}
 
 
 @dataclass(frozen=True)
@@ -106,35 +99,20 @@ class ServeFaultPlan:
     """A seeded, deterministic description of serving-plane failures.
 
     Every decision is a pure function of ``(seed, kind, entity,
-    attempt)`` where *entity* names the thing failing (a batcher, a
-    ``cluster-vN`` checkpoint, the registry manifest) and *attempt* is
-    that entity's per-kind call index — so the same plan injects the
-    same faults at the same points run after run, mirroring
-    :class:`repro.faults.FaultPlan`'s contract for campaigns.
+    attempt)``: *entity* names what fails (a batcher, a ``cluster-vN``
+    model, the registry manifest), *attempt* is its per-kind call index.
+    Kinds, each with a probability and an optional ``*_limit`` cap on
+    injections per entity:
 
-    Parameters
-    ----------
-    seed:
-        Fault-stream seed.
-    slow_flush_probability, slow_flush_ms:
-        Per-flush probability that the batcher's flush stalls, and the
-        injected stall in milliseconds (exercises deadline expiry).
-    checkpoint_corrupt_probability:
-        Per-load probability that a checkpoint reads as corrupt — the
-        registry evicts it and reports it absent, exactly as for real
-        bit rot.
-    registry_io_probability:
-        Per-read probability that a registry manifest access raises
-        :class:`~repro.serve.registry.RegistryIOError` (a transient
-        I/O error; nothing is evicted).
-    predict_failure_probability:
-        Per-(cluster, version) group probability that a predict call
-        raises (exercises breakers and the fallback chain).
-    *_limit:
-        Optional cap on *injections* of that kind per entity. With
-        probability 1.0 and ``predict_failure_limit=3``, an entity
-        fails exactly its first three attempts and then recovers —
-        the deterministic trip → probe → recover scenario.
+    - ``slow_flush`` — a batcher flush stalls ``slow_flush_ms``;
+    - ``checkpoint_corrupt`` — a load reads as bit rot (evicted);
+    - ``registry_io`` — a manifest read raises the transient
+      :class:`~repro.serve.registry.RegistryIOError`;
+    - ``predict`` (``predict_failure_*``) — a scoring-kernel call (one
+      per routed block) raises.
+
+    Probability 1.0 with ``predict_failure_limit=3`` fails exactly the
+    first three attempts: a deterministic trip → probe → recover.
     """
 
     seed: int = 0
@@ -149,26 +127,14 @@ class ServeFaultPlan:
     predict_failure_limit: int | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "slow_flush_probability",
-            "checkpoint_corrupt_probability",
-            "registry_io_probability",
-            "predict_failure_probability",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_probability") and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{f.name} must be in [0, 1], got {value}")
+            if f.name.endswith("_limit") and value is not None and value < 0:
+                raise ValueError(f"{f.name} must be >= 0 (or None)")
         if self.slow_flush_ms < 0:
             raise ValueError("slow_flush_ms must be >= 0")
-        for name in (
-            "slow_flush_limit",
-            "checkpoint_corrupt_limit",
-            "registry_io_limit",
-            "predict_failure_limit",
-        ):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0 (or None)")
         # Per-(kind, entity) attempt and injection counters. The plan is
         # frozen (hashable config), so the mutable bookkeeping lives in
         # object.__setattr__-installed slots guarded by one lock.
@@ -176,33 +142,16 @@ class ServeFaultPlan:
         object.__setattr__(self, "_attempts", {})
         object.__setattr__(self, "_injected", {})
 
-    _PROBABILITY = {  # noqa: RUF012 — class-level constant mapping
-        "slow_flush": "slow_flush_probability",
-        "checkpoint_corrupt": "checkpoint_corrupt_probability",
-        "registry_io": "registry_io_probability",
-        "predict": "predict_failure_probability",
-    }
-    _LIMIT = {  # noqa: RUF012 — class-level constant mapping
-        "slow_flush": "slow_flush_limit",
-        "checkpoint_corrupt": "checkpoint_corrupt_limit",
-        "registry_io": "registry_io_limit",
-        "predict": "predict_failure_limit",
-    }
-
-    # -- decisions ------------------------------------------------------
-
     def draw(self, kind: str, entity: str) -> bool:
         """Whether this (kind, entity) attempt fails; advances the attempt.
 
-        Thread-safe. The underlying uniform draw is keyed by ``(seed,
-        kind, entity, attempt)``, so the decision sequence per entity
-        is deterministic no matter which thread asks; once the kind's
-        injection limit is reached the entity never fails again.
+        Thread-safe, and deterministic per entity whichever thread asks;
+        past the kind's injection limit the entity never fails again.
         """
-        if kind not in self._PROBABILITY:
+        if kind not in _KIND_FIELDS:
             raise ValueError(f"unknown serve fault kind {kind!r}")
-        probability = getattr(self, self._PROBABILITY[kind])
-        limit = getattr(self, self._LIMIT[kind])
+        probability = getattr(self, f"{_KIND_FIELDS[kind]}_probability")
+        limit = getattr(self, f"{_KIND_FIELDS[kind]}_limit")
         key = (kind, entity)
         with self._lock:  # type: ignore[attr-defined]
             attempt = self._attempts.get(key, 0)  # type: ignore[attr-defined]
@@ -228,49 +177,9 @@ class ServeFaultPlan:
             self._attempts.clear()  # type: ignore[attr-defined]
             self._injected.clear()  # type: ignore[attr-defined]
 
-    # -- plumbing -------------------------------------------------------
-
     def to_config(self) -> dict[str, float | int | None]:
         """JSON-stable form for reports and cache keys."""
-        return {
-            "seed": self.seed,
-            "slow_flush_probability": self.slow_flush_probability,
-            "slow_flush_ms": self.slow_flush_ms,
-            "slow_flush_limit": self.slow_flush_limit,
-            "checkpoint_corrupt_probability": self.checkpoint_corrupt_probability,
-            "checkpoint_corrupt_limit": self.checkpoint_corrupt_limit,
-            "registry_io_probability": self.registry_io_probability,
-            "registry_io_limit": self.registry_io_limit,
-            "predict_failure_probability": self.predict_failure_probability,
-            "predict_failure_limit": self.predict_failure_limit,
-        }
-
-    _SPEC_ALIASES = {  # noqa: RUF012 — class-level constant mapping
-        "seed": "seed",
-        "slow_flush": "slow_flush_probability",
-        "slow_flush_probability": "slow_flush_probability",
-        "slow_flush_ms": "slow_flush_ms",
-        "slow_flush_limit": "slow_flush_limit",
-        "corrupt_checkpoint": "checkpoint_corrupt_probability",
-        "checkpoint_corrupt": "checkpoint_corrupt_probability",
-        "checkpoint_corrupt_probability": "checkpoint_corrupt_probability",
-        "checkpoint_corrupt_limit": "checkpoint_corrupt_limit",
-        "registry_io": "registry_io_probability",
-        "registry_io_probability": "registry_io_probability",
-        "registry_io_limit": "registry_io_limit",
-        "predict_fail": "predict_failure_probability",
-        "predict_failure": "predict_failure_probability",
-        "predict_failure_probability": "predict_failure_probability",
-        "predict_fail_limit": "predict_failure_limit",
-        "predict_failure_limit": "predict_failure_limit",
-    }
-    _INT_FIELDS = (  # noqa: RUF012 — class-level constant tuple
-        "seed",
-        "slow_flush_limit",
-        "checkpoint_corrupt_limit",
-        "registry_io_limit",
-        "predict_failure_limit",
-    )
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_spec(cls, spec: str) -> "ServeFaultPlan":
@@ -281,15 +190,9 @@ class ServeFaultPlan:
         (``slow_flush``, ``corrupt_checkpoint``, ``registry_io``,
         ``predict_fail``) or full field names, unknown keys rejected.
         """
-        return cls(
-            **parse_spec(
-                spec, cls._SPEC_ALIASES, int_fields=cls._INT_FIELDS, label="serve fault"
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker
+        int_fields = [f.name for f in fields(cls) if f.type.startswith("int")]
+        aliases = {**{f.name: f.name for f in fields(cls)}, **_SPEC_SHORTHANDS}
+        return cls(**parse_spec(spec, aliases, int_fields=int_fields, label="serve fault"))
 
 
 #: Breaker states (``CircuitBreaker.state``).
@@ -301,16 +204,11 @@ BREAKER_HALF_OPEN = "half_open"
 class CircuitBreaker:
     """Consecutive-failure breaker with a half-open probe.
 
-    Closed (healthy) until ``failure_threshold`` *consecutive*
-    failures are recorded, then open: :meth:`allow` answers ``False``
-    and callers skip the protected resource. After ``reset_after_s``
-    seconds, the next :meth:`allow` lets exactly one probe through
-    (half-open); :meth:`record_success` closes the breaker again,
-    :meth:`record_failure` re-opens it for another cooldown.
-
-    ``clock`` is injectable for deterministic tests; all transitions
-    are guarded by one lock, so concurrent flush threads agree on who
-    the probe is.
+    Closed until ``failure_threshold`` *consecutive* failures, then
+    open: :meth:`allow` answers ``False``. After ``reset_after_s`` the
+    next :meth:`allow` admits exactly one probe (half-open), whose
+    recorded outcome closes or re-opens the breaker. ``clock`` is
+    injectable for tests; one lock guards every transition.
     """
 
     def __init__(
@@ -341,36 +239,25 @@ class CircuitBreaker:
             return self._state
 
     def allow(self) -> bool:
-        """Whether a request may use the protected resource right now.
+        """Whether the protected resource may be used right now.
 
-        Open breakers whose cooldown elapsed transition to half-open
-        and admit exactly one probe; everyone else is turned away until
-        the probe's outcome is recorded.
+        An open breaker past its cooldown turns half-open; a half-open
+        breaker admits one probe at a time.
         """
         with self._lock:
+            if self._state == BREAKER_OPEN:
+                if self._clock() - self._opened_at >= self.reset_after_s:
+                    self._state = BREAKER_HALF_OPEN
             if self._state == BREAKER_CLOSED:
                 return True
-            if self._state == BREAKER_OPEN:
-                if self._clock() - self._opened_at < self.reset_after_s:
-                    return False
-                self._state = BREAKER_HALF_OPEN
-                self._probe_in_flight = True
-                telemetry.count("serve.breaker.probe")
-                return True
-            # Half-open: one probe at a time.
-            if self._probe_in_flight:
+            if self._state == BREAKER_OPEN or self._probe_in_flight:
                 return False
             self._probe_in_flight = True
             telemetry.count("serve.breaker.probe")
             return True
 
     def cancel_probe(self) -> None:
-        """Release an admitted half-open probe that was never exercised.
-
-        A caller that obtained :meth:`allow` but then had no work for
-        the resource (e.g. a fully cache-hit block) must release the
-        probe slot, or the breaker would wait forever for an outcome.
-        """
+        """Release an admitted probe that had no work (a fully cached block)."""
         with self._lock:
             if self._state == BREAKER_HALF_OPEN:
                 self._probe_in_flight = False
@@ -394,36 +281,29 @@ class CircuitBreaker:
                 telemetry.count("serve.breaker.trip")
                 return
             self._consecutive_failures += 1
-            if (
-                self._state == BREAKER_CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+            if self._state == BREAKER_CLOSED and (
+                self._consecutive_failures >= self.failure_threshold
             ):
                 self._state = BREAKER_OPEN
                 self._opened_at = self._clock()
                 telemetry.count("serve.breaker.trip")
 
 
-# ---------------------------------------------------------------------------
-# Static fallback estimator
-
-
 @dataclass(frozen=True)
 class StaticEstimator:
     """The cheap, always-available last fallback tier.
 
-    Fit at publish time from per-cluster latency means
-    (:func:`fit_static_estimate`) and stored in the registry
-    *manifest*, so it survives checkpoint-file corruption. A
-    prediction is the cluster's mean latency for the network, scaled
-    by the device's signature speed ratio (device signature mean over
-    cluster signature mean) when signature measurements are available
-    — the "static spec" quality floor the paper argues real models
-    must beat, here serving as the degraded-mode answer of last
-    resort.
+    Per-cluster latency means fit at publish time
+    (:func:`fit_static_estimate`) and kept in the registry *manifest*,
+    so they survive checkpoint corruption. A prediction is the network's
+    mean, scaled by the device's signature speed ratio when signature
+    measurements are available — the "static spec" quality floor the
+    paper argues real models must beat, as the answer of last resort.
     """
 
     network_mean_ms: Mapping[str, float]
     signature_mean_ms: Mapping[str, float] = field(default_factory=dict)
+    cluster: str = DEFAULT_CLUSTER  # the cluster whose publish captured it
 
     def predict_ms(
         self, network: str, signature_ms: Mapping[str, float] | None = None
@@ -434,22 +314,22 @@ class StaticEstimator:
             return None
         scale = 1.0
         if signature_ms:
-            device: list[float] = []
-            cluster: list[float] = []
-            for name, mean in self.signature_mean_ms.items():
-                value = signature_ms.get(name)
-                if value is None:
-                    continue
-                if math.isfinite(value) and value > 0 and math.isfinite(mean) and mean > 0:
-                    device.append(float(value))
-                    cluster.append(float(mean))
-            if device:
+            pairs = [
+                (float(value), float(mean))
+                for name, mean in self.signature_mean_ms.items()
+                if (value := signature_ms.get(name)) is not None
+                and math.isfinite(value) and value > 0 and math.isfinite(mean) and mean > 0
+            ]
+            if pairs:
+                device, cluster = zip(*pairs)
                 scale = (sum(device) / len(device)) / (sum(cluster) / len(cluster))
         return float(base) * scale
 
     @classmethod
-    def from_metadata(cls, metadata: Mapping[str, object]) -> "StaticEstimator | None":
-        """Rebuild from a checkpoint's ``static_estimate`` metadata block."""
+    def from_metadata(
+        cls, metadata: Mapping[str, object], cluster: str = DEFAULT_CLUSTER
+    ) -> "StaticEstimator | None":
+        """Rebuild from ``cluster``'s checkpoint ``static_estimate`` block."""
         block = metadata.get("static_estimate")
         if not isinstance(block, Mapping):
             return None
@@ -457,13 +337,12 @@ class StaticEstimator:
         if not isinstance(network, Mapping) or not network:
             return None
         signature = block.get("signature_mean_ms")
+        if not isinstance(signature, Mapping):
+            signature = {}
         return cls(
-            network_mean_ms={str(k): float(v) for k, v in network.items()},
-            signature_mean_ms=(
-                {str(k): float(v) for k, v in signature.items()}
-                if isinstance(signature, Mapping)
-                else {}
-            ),
+            {str(k): float(v) for k, v in network.items()},
+            {str(k): float(v) for k, v in signature.items()},
+            cluster,
         )
 
 
@@ -474,11 +353,10 @@ def fit_static_estimate(
 ) -> dict[str, dict[str, float]]:
     """Per-cluster latency means for :class:`StaticEstimator`, publish-time.
 
-    Averages each network's observed (finite) latencies over
-    ``device_names`` (default: the whole dataset — for a per-cluster
-    publish, pass the cluster's member devices). Networks with no
-    observed cell are omitted. The result is JSON-stable and small
-    (two name → float maps), sized for the registry manifest.
+    Averages each network's finite latencies over ``device_names``
+    (default: every device; pass a cluster's members for a per-cluster
+    publish), omitting networks never observed. The result — two
+    JSON-stable name → float maps — is sized for the registry manifest.
     """
     if device_names is None:
         rows = np.arange(len(dataset.device_names))
@@ -498,35 +376,19 @@ def fit_static_estimate(
     return {"network_mean_ms": network_mean, "signature_mean_ms": signature_mean}
 
 
-# ---------------------------------------------------------------------------
-# Service configuration
-
-
 @dataclass(frozen=True)
 class ResilienceConfig:
     """The serving-plane resilience knobs, bundled.
 
-    Defaults are the clean-path identity: no queue bound, no deadline
-    budget, no fault plan — breakers exist but only engage on real
-    failures, so a healthy service behaves byte-identically to the
-    pre-resilience layer.
-
-    Parameters
-    ----------
-    max_queue_depth:
-        Ingress bound; submissions beyond it are shed with an
-        ``overloaded`` miss (``None`` = unbounded, the old behavior).
-    deadline_ms:
-        Default per-request deadline budget; requests still queued (or
-        unanswered) past it resolve to a ``deadline_exceeded`` miss.
-        A request's own ``deadline_ms`` overrides this.
-    breaker_threshold, breaker_reset_s:
-        Consecutive load/predict failures before a (cluster, version)
-        breaker opens, and the cooldown before a half-open probe.
-    fault_plan:
-        Optional seeded chaos injected into the batcher and service
-        (wire the same plan into the :class:`ModelRegistry` to cover
-        checkpoint/manifest faults too).
+    ``max_queue_depth`` bounds the ingress (beyond it: an ``overloaded``
+    miss; ``None`` = unbounded). ``deadline_ms`` is the default
+    per-request budget (past it: a ``deadline_exceeded`` miss; a
+    request's own budget overrides it). ``breaker_threshold``
+    consecutive failed load or kernel *calls* open a (cluster, version)
+    breaker for ``breaker_reset_s`` before a half-open probe.
+    ``fault_plan`` injects seeded chaos into the batcher and service
+    (wire it into the :class:`ModelRegistry` too for checkpoint and
+    manifest faults). The defaults are the clean-path identity.
     """
 
     max_queue_depth: int | None = None

@@ -1,60 +1,39 @@
 """The long-lived, in-process latency-prediction service.
 
 :class:`PredictionService` answers "how fast is network N on device D"
-at production rates. Requests enter through a thread-safe ingress (or
-``await``-able asyncio facade), are coalesced by the
-:class:`~repro.serve.batcher.MicroBatcher`, and each flush becomes one
-flat-SoA :meth:`~repro.ml.gbt.GradientBoostedTrees.predict_binned`
-call — the batched primitive PR 4 made cheap.
+at production rates: requests enter a thread-safe ingress (or the
+asyncio facade), are coalesced by the
+:class:`~repro.serve.batcher.MicroBatcher`, and each flush is answered
+block-wise. Every predict path — one request, a micro-batch, a bulk
+block (:class:`~repro.serve.bulk.BulkQueryPlane`) — is built from two
+pieces:
 
-Model checkpoints come from a :class:`~repro.serve.registry.ModelRegistry`;
-the service caches, per loaded model, the uint8 bin codes of the entire
-encoded benchmark suite under that model's frozen bin edges, so a
-request only pays for binning its (tiny) hardware-signature block.
-:meth:`PredictionService.refresh` atomically hot-swaps in freshly
-published versions: the per-cluster model table is replaced wholesale
-(a single reference assignment), and every batch routes against one
-snapshot of it, so a concurrent reader sees either the old or the new
-model — never a mix within a batch, never a partially loaded one.
+- **the chain** — :meth:`Router.chain` lists a cluster's fallback
+  candidates against one atomic snapshot of the model tables:
+  ``primary`` → ``stale`` (the cluster's previous version) →
+  ``default`` (the cross-cluster model) → ``static`` (the publish-time
+  estimator of :mod:`repro.serve.resilience`), always last;
+- **the kernel** — :meth:`PredictionService.score` is the only code
+  that consults a model's breaker, draws the injected ``predict``
+  fault, calls :meth:`~repro.ml.gbt.GradientBoostedTrees.predict_block`,
+  records the outcome and counts ``served_by`` / ``fallback`` tiers.
 
-Request routing:
+A caller walks the chain with a whole block. The first model (the
+*routed* one) decides whether a device is servable at all: a miss
+``cold_device`` without warm or shipped measurements, ``signature``
+with some missing. A tier whose breaker refuses or whose call fails
+passes the whole block on; a fallback model that cannot see a device's
+signature passes only that device's rows on. What no model answers
+gets the static tier, else misses ``degraded`` (``no_model`` when the
+chain has no model). Misses are *responses*, not exceptions.
 
-- the request's ``cluster`` picks the freshest model published for that
-  device cluster, falling back to the global ``default`` model when the
-  cluster has never been trained (``serve.route.fallback``);
-- a **warm** device's signature latencies come from the service's
-  device cache (seeded from the measurement dataset or by
-  :meth:`PredictionService.warm_device`);
-- a **cold** device supplies its own signature measurements on the
-  request; with neither, the request misses (``serve.miss.cold_device``);
-- a network outside the encoded suite misses
-  (``serve.miss.unknown_network``).
-
-Misses are *responses*, not exceptions — a load generator can count
-them without tearing down its connection.
-
-Resilience (see :mod:`repro.serve.resilience`): the ingress can be
-bounded (``max_queue_depth``) and budgeted (``deadline_ms``), shedding
-over-bound or expired requests as typed ``overloaded`` /
-``deadline_exceeded`` miss responses instead of queueing forever. A
-circuit breaker per (cluster, version) trips after consecutive
-load/predict failures; requests whose model is tripped, missing, or
-failing fall down an explicit degraded chain — stale prior version →
-cross-cluster default model → publish-time static estimator — and
-every successful response carries its ``served_by`` tier.
-:meth:`PredictionService.health` reports readiness; a transient
-:class:`~repro.serve.registry.RegistryIOError` during refresh keeps
-the current model table instead of dropping it.
-
-Determinism contract: a prediction depends only on (network encoding,
-signature vector, model version). Batch composition never affects it —
-every per-row operation (bin-code lookup, signature binning, the packed
-tree descent, per-tree accumulation) is row-independent — so single
-requests and micro-batched requests produce byte-identical latencies.
-With no faults injected and no shedding triggered, the resilience
-layer never touches a prediction: breakers stay closed, the degraded
-chain never engages, and responses are byte-identical to the
-pre-resilience path (plus the constant ``served_by="primary"`` tag).
+Each loaded model caches the bin codes of the whole encoded suite, so a
+request only pays for binning its signature; :meth:`~PredictionService.
+refresh` hot-swaps versions by installing a new :class:`Router` with one
+reference assignment. Determinism contract: a prediction depends only on
+(network encoding, signature vector, model version) — every per-row step
+is row-independent, so batched and single requests are byte-identical,
+and with no faults and no shedding every answer is ``primary``.
 """
 
 from __future__ import annotations
@@ -62,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -72,28 +50,18 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.cost_model import CostModel
-from repro.core.representation import EncodedSuite, shared_encoded_suite
+from repro.core.representation import EncodedSuite, NetworkEncoder, shared_encoded_suite
 from repro.dataset.dataset import LatencyDataset
 from repro.ml.binning import apply_bin_edges
 from repro.nnir.graph import Network
 from repro.serve.batcher import SHED_OVERLOADED, MicroBatcher
-from repro.serve.registry import (
-    DEFAULT_CLUSTER,
-    ModelCheckpoint,
-    ModelRegistry,
-    RegistryIOError,
-)
+from repro.serve.registry import DEFAULT_CLUSTER, ModelCheckpoint, ModelRegistry, RegistryIOError
 from repro.serve.resilience import (
-    TIER_DEFAULT,
-    TIER_PRIMARY,
-    TIER_STALE,
-    TIER_STATIC,
-    CircuitBreaker,
-    ResilienceConfig,
-    StaticEstimator,
+    TIER_DEFAULT, TIER_PRIMARY, TIER_STALE, TIER_STATIC,
+    CircuitBreaker, ResilienceConfig, StaticEstimator,
 )
 
-__all__ = ["PredictRequest", "PredictResponse", "PredictionService"]
+__all__ = ["LoadedModel", "PredictRequest", "PredictResponse", "PredictionService", "Router"]
 
 #: Miss reasons carried on error responses (and telemetry suffixes).
 MISS_UNKNOWN_NETWORK = "unknown_network"
@@ -113,25 +81,13 @@ RESILIENCE_MISSES = (MISS_OVERLOADED, MISS_DEADLINE, MISS_DEGRADED)
 class PredictRequest:
     """One latency query.
 
-    Attributes
-    ----------
-    network:
-        Benchmark-suite network name.
-    device:
-        Device identifier (used for the warm-signature cache).
-    cluster:
-        Device cluster for model routing (default: the global model).
-    signature_ms:
-        Fresh signature measurements (network name -> ms) a cold device
-        ships with its first request; overrides the warm cache.
-    definition:
-        Optional ad-hoc network definition. When ``network`` is not in
-        the encoded suite but a definition is supplied (a search
-        candidate, say), the service encodes it from scratch inside the
-        flush — the per-request reference path the bulk query plane
-        (:class:`~repro.serve.bulk.BulkQueryPlane`) amortizes away. A
-        definition deeper than the suite encoder misses with
-        ``unencodable``.
+    ``network`` names a suite network; ``cluster`` routes it (default:
+    the global model). A cold device ships ``signature_ms`` (network
+    name -> ms; it overrides the warm cache). ``definition`` is an
+    optional ad-hoc network (a search candidate, say) the flush encodes
+    from scratch when ``network`` is outside the suite — the reference
+    path the bulk plane amortizes; a definition deeper than the suite
+    encoder misses ``unencodable``.
     """
 
     network: str
@@ -146,11 +102,10 @@ class PredictResponse:
     """The service's answer to one :class:`PredictRequest`.
 
     ``latency_ms`` is ``None`` exactly when ``error`` is set;
-    ``served_cluster`` names the cluster whose model answered (it
-    differs from ``cluster`` after a routing fallback); ``served_by``
-    names the fallback tier that produced a successful answer
-    (``primary`` / ``stale`` / ``default`` / ``static`` — see
-    :data:`repro.serve.resilience.TIERS`) and is ``None`` on misses.
+    ``served_cluster`` names the cluster whose model (or static
+    estimate) answered; ``served_by`` names the fallback tier that
+    answered (see :data:`repro.serve.resilience.TIERS`) and is ``None``
+    on misses.
     """
 
     network: str
@@ -168,14 +123,14 @@ class PredictResponse:
 
 
 @dataclass(frozen=True)
-class _LoadedModel:
-    """One hot-swappable serving model with its precomputed codes."""
+class LoadedModel:
+    """One hot-swappable serving model with its precomputed suite codes."""
 
     checkpoint: ModelCheckpoint
     model: CostModel
     net_codes: np.ndarray  # uint8 (n_networks, net_width), read-only
-    hw_edges: list[np.ndarray] = field(repr=False, default_factory=list)
-    net_edges: list[np.ndarray] = field(repr=False, default_factory=list)
+    net_edges: list[np.ndarray] = field(repr=False)
+    hw_edges: list[np.ndarray] = field(repr=False)
 
     @property
     def signature_names(self) -> tuple[str, ...]:
@@ -186,32 +141,52 @@ class _LoadedModel:
         return (self.checkpoint.cluster, self.checkpoint.version)
 
 
+#: One chain element: a tier and what answers for it — a model, or the
+#: estimator for the ``static`` tier.
+Candidate = tuple[str, "LoadedModel | StaticEstimator"]
+
+
+@dataclass(frozen=True)
+class Router:
+    """One atomic snapshot of the serving tables and the chains over it."""
+
+    models: Mapping[str, LoadedModel] = field(default_factory=dict)
+    stale: Mapping[str, LoadedModel] = field(default_factory=dict)
+    static: Mapping[str, StaticEstimator] = field(default_factory=dict)
+
+    def chain(self, cluster: str) -> list[Candidate]:
+        """``cluster``'s fallback candidates: primary → stale → default → static.
+
+        Absent tiers are left out. ``default`` backs every other
+        cluster; the static tier is the cluster's own estimate, else
+        the default cluster's, and is always the last element.
+        """
+        default = self.models.get(DEFAULT_CLUSTER) if cluster != DEFAULT_CLUSTER else None
+        static = self.static.get(cluster) or self.static.get(DEFAULT_CLUSTER)
+        return [
+            (tier, candidate)
+            for tier, candidate in (
+                (TIER_PRIMARY, self.models.get(cluster)),
+                (TIER_STALE, self.stale.get(cluster)),
+                (TIER_DEFAULT, default),
+                (TIER_STATIC, static),
+            )
+            if candidate is not None
+        ]
+
+
 class PredictionService:
     """Serves latency predictions from registry checkpoints.
 
-    Parameters
-    ----------
-    registry:
-        Source of versioned model checkpoints.
-    suite:
-        The benchmark-suite population requests may name; encoded and
-        quantized once via
-        :func:`~repro.core.representation.shared_encoded_suite`.
-    dataset:
-        Optional measurement dataset used to pre-warm the
-        device-signature cache (every measured device becomes warm).
-    max_batch, max_wait_ms:
-        Micro-batching knobs (see
-        :class:`~repro.serve.batcher.MicroBatcher`).
-    resilience:
-        Admission bound, deadline budget, breaker thresholds, and
-        optional fault plan (see
-        :class:`~repro.serve.resilience.ResilienceConfig`). Defaults
-        to the clean-path identity configuration.
-
-    The service starts serving on construction and is a context
-    manager; :meth:`close` drains the queue (resolving every accepted
-    future) before returning.
+    ``suite`` is the population requests may name (encoded and quantized
+    once via :func:`~repro.core.representation.shared_encoded_suite`);
+    every device measured in ``dataset`` starts warm. ``max_batch`` /
+    ``max_wait_ms`` tune the :class:`~repro.serve.batcher.MicroBatcher`;
+    ``resilience`` bundles the admission bound, deadline budget, breaker
+    thresholds and fault plan (default: the clean-path identity). The
+    service serves from construction and is a context manager;
+    :meth:`close` drains the queue. :attr:`router` is the current
+    :class:`Router` snapshot.
     """
 
     def __init__(
@@ -230,9 +205,7 @@ class PredictionService:
         self._warm: dict[str, dict[str, float]] = {}
         if dataset is not None:
             self.warm_from_dataset(dataset)
-        self._models: dict[str, _LoadedModel] = {}
-        self._stale: dict[str, _LoadedModel] = {}
-        self._static: dict[str, StaticEstimator] = {}
+        self.router = Router()
         self._breakers: dict[tuple[str, int], CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
         self._breaker_clock = time.monotonic  # injectable for tests
@@ -247,6 +220,11 @@ class PredictionService:
             fault_plan=self.resilience.fault_plan,
             name="service",
         )
+
+    @property
+    def encoder(self) -> NetworkEncoder:
+        """The suite's network encoder (ad-hoc definitions encode with it)."""
+        return self._enc.encoder
 
     # -- warm-signature cache -------------------------------------------
 
@@ -279,7 +257,7 @@ class PredictionService:
 
     # -- model lifecycle ------------------------------------------------
 
-    def _prepare(self, checkpoint: ModelCheckpoint, model: CostModel) -> _LoadedModel:
+    def _prepare(self, checkpoint: ModelCheckpoint, model: CostModel) -> LoadedModel:
         net_width = model.network_encoder.width
         if net_width != self._enc.matrix.shape[1]:
             raise ValueError(
@@ -291,13 +269,7 @@ class PredictionService:
         edges = model.regressor.bin_edges  # type: ignore[union-attr]
         net_codes = apply_bin_edges(self._enc.matrix, edges[:net_width])
         net_codes.setflags(write=False)
-        return _LoadedModel(
-            checkpoint=checkpoint,
-            model=model,
-            net_codes=net_codes,
-            hw_edges=edges[net_width:],
-            net_edges=edges[:net_width],
-        )
+        return LoadedModel(checkpoint, model, net_codes, edges[:net_width], edges[net_width:])
 
     def _breaker(self, key: tuple[str, int]) -> CircuitBreaker:
         with self._breaker_lock:
@@ -314,36 +286,35 @@ class PredictionService:
     def refresh(self) -> dict[str, int]:
         """Load newly published checkpoints and hot-swap them in.
 
-        Returns ``{cluster: version}`` for every cluster whose serving
-        model changed. The swap is atomic: the whole per-cluster table
-        is rebuilt and then installed with one reference assignment, so
-        concurrent batches route against either the previous or the new
-        table. A corrupt latest checkpoint is evicted and the previous
-        surviving version (re)loaded instead; the version it replaced
-        stays available as the ``stale`` fallback tier, and per-cluster
-        static estimates are (re)captured from the manifest. A
+        Returns ``{cluster: version}`` for every cluster whose model
+        changed. The swap installs a whole new :class:`Router` with one
+        assignment, so a batch routes against the old or the new tables,
+        never a mix. A corrupt latest checkpoint is evicted and the prior
+        version loaded; a replaced version stays on as the ``stale``
+        tier, and static estimates are re-read from the manifest. A
         transient :class:`~repro.serve.registry.RegistryIOError` keeps
-        the current table untouched and returns ``{}``.
+        the current router and returns ``{}``.
         """
-        table: dict[str, _LoadedModel] = {}
+        current = self.router
+        table: dict[str, LoadedModel] = {}
         swapped: dict[str, int] = {}
-        stale = dict(self._stale)
-        static = dict(self._static)
+        stale = dict(current.stale)
+        static = dict(current.static)
         try:
             for cluster in self.registry.clusters():
-                current = self._models.get(cluster)
+                serving = current.models.get(cluster)
                 checkpoint = self.registry.latest(cluster)
                 if checkpoint is not None:
-                    estimator = StaticEstimator.from_metadata(checkpoint.metadata)
+                    estimator = StaticEstimator.from_metadata(checkpoint.metadata, cluster)
                     if estimator is not None:
                         static[cluster] = estimator
                 while checkpoint is not None:
                     if (
-                        current is not None
-                        and current.checkpoint.version == checkpoint.version
-                        and current.checkpoint.digest == checkpoint.digest
+                        serving is not None
+                        and serving.checkpoint.version == checkpoint.version
+                        and serving.checkpoint.digest == checkpoint.digest
                     ):
-                        table[cluster] = current
+                        table[cluster] = serving
                         break
                     model = self.registry.load(checkpoint)
                     if model is None:  # corrupt: evicted, try the prior version
@@ -352,8 +323,8 @@ class PredictionService:
                         continue
                     table[cluster] = self._prepare(checkpoint, model)
                     swapped[cluster] = checkpoint.version
-                    if current is not None and current.checkpoint.version != checkpoint.version:
-                        stale[cluster] = current
+                    if serving is not None and serving.checkpoint.version != checkpoint.version:
+                        stale[cluster] = serving
                     telemetry.count("serve.hot_swap")
                     break
         except RegistryIOError:
@@ -361,35 +332,29 @@ class PredictionService:
             return {}
         # A cluster whose checkpoints all became unloadable keeps serving
         # from memory — its last good model moves to the stale tier.
-        for cluster, loaded in self._models.items():
+        for cluster, loaded in current.models.items():
             if cluster not in table:
                 stale[cluster] = loaded
-        self._stale = stale
-        self._static = static
-        self._models = table
+        self.router = Router(table, stale, static)
         return swapped
 
     def model_versions(self) -> dict[str, int]:
         """Currently serving ``{cluster: version}``."""
         return {
             cluster: loaded.checkpoint.version
-            for cluster, loaded in sorted(self._models.items())
+            for cluster, loaded in sorted(self.router.models.items())
         }
 
     def health(self) -> dict[str, object]:
-        """Readiness/liveness snapshot for probes and the CLI.
-
-        ``status`` is ``"ok"`` (accepting, models loaded, every breaker
-        closed), ``"degraded"`` (accepting, but a breaker is non-closed
-        or primary models are gone and only fallback tiers remain), or
-        ``"unready"`` (worker dead / closed, or nothing to serve from).
-        """
+        """Readiness snapshot: ``ok`` (models loaded, breakers closed),
+        ``degraded`` (a breaker is not closed, or only fallback tiers
+        remain) or ``unready`` (closed, or nothing to serve from)."""
+        router = self.router
         with self._breaker_lock:
             breakers = {b.name: b.state for b in self._breakers.values()}
         accepting = self._batcher.alive and not self._batcher.closed
         models = self.model_versions()
-        has_fallback = bool(self._stale) or bool(self._static)
-        if not accepting or (not models and not has_fallback):
+        if not accepting or not (models or router.stale or router.static):
             status = "unready"
         elif models and all(state == "closed" for state in breakers.values()):
             status = "ok"
@@ -401,8 +366,8 @@ class PredictionService:
             "accepting": accepting,
             "queue_depth": self._batcher.queue_depth,
             "models": models,
-            "stale": sorted(self._stale),
-            "static": sorted(self._static),
+            "stale": sorted(router.stale),
+            "static": sorted(router.static),
             "breakers": breakers,
             "shed_overloaded": stats.shed_overloaded,
             "shed_deadline": stats.shed_deadline,
@@ -415,19 +380,10 @@ class PredictionService:
     ) -> "Future[PredictResponse]":
         """Enqueue one request; the future resolves to its response.
 
-        ``deadline_ms`` overrides the service-wide deadline budget for
-        this request. Over-bound or expired requests resolve to typed
-        ``overloaded`` / ``deadline_exceeded`` miss responses.
+        ``deadline_ms`` overrides the service-wide deadline budget;
+        shed requests resolve to typed miss responses.
         """
         return self._batcher.submit(request, deadline_ms=deadline_ms)
-
-    def _submit_deadline(
-        self, request: PredictRequest, deadline_ms: float | None
-    ) -> tuple["Future[PredictResponse]", float | None]:
-        """Submit and also return the request's absolute deadline (or None)."""
-        budget_ms = deadline_ms if deadline_ms is not None else self.resilience.deadline_ms
-        deadline_at = None if budget_ms is None else time.monotonic() + budget_ms / 1e3
-        return self._batcher.submit(request, deadline_ms=deadline_ms), deadline_at
 
     def predict(
         self,
@@ -436,29 +392,8 @@ class PredictionService:
         *,
         deadline_ms: float | None = None,
     ) -> PredictResponse:
-        """Blocking single prediction (one queue round trip).
-
-        Never blocks past the request's deadline budget: an unanswered
-        request resolves to a ``deadline_exceeded`` miss at its
-        deadline (``serve.shed.abandoned``). A caller ``timeout``
-        tighter than the deadline still raises ``TimeoutError``.
-        """
-        future, deadline_at = self._submit_deadline(request, deadline_ms)
-        wait = timeout
-        deadline_bound = False
-        if deadline_at is not None:
-            remaining = max(deadline_at - time.monotonic(), 0.0)
-            if wait is None or remaining <= wait:
-                wait = remaining
-                deadline_bound = True
-        try:
-            return future.result(wait)
-        except FuturesTimeoutError:
-            if not deadline_bound:
-                raise
-            future.cancel()
-            telemetry.count("serve.shed.abandoned")
-            return self._miss(request, MISS_DEADLINE)
+        """Blocking single prediction: :meth:`predict_many` of one request."""
+        return self.predict_many([request], timeout, deadline_ms=deadline_ms)[0]
 
     def predict_many(
         self,
@@ -469,22 +404,22 @@ class PredictionService:
     ) -> list[PredictResponse]:
         """Submit a burst and gather every response, in request order.
 
-        ``timeout`` is one shared budget for the whole burst (a single
-        monotonic deadline across all futures), not a per-response
-        allowance — a 1 s timeout means the call returns (or raises)
-        within ~1 s regardless of ``len(requests)``. Per-request
-        deadline budgets resolve to ``deadline_exceeded`` misses;
-        exceeding the shared caller timeout raises ``TimeoutError``.
+        ``timeout`` is one shared budget for the whole burst; exceeding
+        it raises ``TimeoutError``. No call blocks past a request's
+        deadline budget: an unanswered request resolves to a
+        ``deadline_exceeded`` miss (``serve.shed.abandoned``).
         """
+        budget_ms = deadline_ms if deadline_ms is not None else self.resilience.deadline_ms
         overall = None if timeout is None else time.monotonic() + timeout
-        pairs = [self._submit_deadline(r, deadline_ms) for r in requests]
+        pending = []
+        for request in requests:
+            deadline_at = None if budget_ms is None else time.monotonic() + budget_ms / 1e3
+            pending.append((request, self.submit(request, deadline_ms=deadline_ms), deadline_at))
         responses: list[PredictResponse] = []
-        for request, (future, deadline_at) in zip(requests, pairs):
+        for request, future, deadline_at in pending:
             now = time.monotonic()
-            wait: float | None = None
+            wait = None if overall is None else max(overall - now, 0.0)
             deadline_bound = False
-            if overall is not None:
-                wait = max(overall - now, 0.0)
             if deadline_at is not None:
                 remaining = max(deadline_at - now, 0.0)
                 if wait is None or remaining <= wait:
@@ -497,14 +432,12 @@ class PredictionService:
                     raise
                 future.cancel()
                 telemetry.count("serve.shed.abandoned")
-                responses.append(self._miss(request, MISS_DEADLINE))
+                responses.append(self.miss(request, MISS_DEADLINE))
         return responses
 
     async def predict_async(self, request: PredictRequest) -> PredictResponse:
         """Asyncio facade over the thread-safe ingress."""
         return await asyncio.wrap_future(self.submit(request))
-
-    # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
         """Drain the queue (every accepted future resolves) and stop."""
@@ -520,87 +453,65 @@ class PredictionService:
         """The batcher's lifetime accounting (see ``BatchStats``)."""
         return self._batcher.stats()
 
-    # -- the batched prediction path ------------------------------------
+    # -- the kernel and the chain's ends ---------------------------------
 
-    def _shed_response(self, request: PredictRequest, reason: str) -> PredictResponse:
-        """Map a batcher shed (overload / deadline) to a typed miss response."""
-        miss = MISS_OVERLOADED if reason == SHED_OVERLOADED else MISS_DEADLINE
-        return self._miss(request, miss)
+    def score(
+        self, loaded: LoadedModel, net_codes: np.ndarray, hw_codes: np.ndarray, tier: str
+    ) -> np.ndarray | None:
+        """The scoring kernel: one breaker-guarded ``predict_block`` call.
 
-    def _signature_vector(
-        self, request: PredictRequest, loaded: _LoadedModel
-    ) -> np.ndarray | str:
-        """The request's signature vector for this model, or a miss reason."""
-        source: Mapping[str, float] | None = request.signature_ms
-        if source is None:
-            source = self._warm.get(request.device)
-            if source is None:
-                return MISS_COLD_DEVICE
-        missing = [
-            n
-            for n in loaded.signature_names
-            if n not in source or not np.isfinite(source[n])
-        ]
-        if missing:
-            return MISS_SIGNATURE
-        return np.array([float(source[n]) for n in loaded.signature_names])
-
-    def _miss(self, request: PredictRequest, reason: str) -> PredictResponse:
-        telemetry.count(f"serve.miss.{reason}")
-        return PredictResponse(
-            network=request.network,
-            device=request.device,
-            cluster=request.cluster,
-            served_cluster=None,
-            model_version=None,
-            latency_ms=None,
-            error=reason,
-        )
-
-    def _predict_one(
-        self,
-        loaded: _LoadedModel,
-        request: PredictRequest,
-        net_source: int | np.ndarray,
-    ) -> float | str:
-        """One-row prediction against ``loaded``, or a miss-reason string.
-
-        The degraded chain's primitive: each fallback model may expect
-        a different signature set, so the vector is recomputed per
-        model. Raises on (possibly injected) predict failure.
+        Returns one latency per ``net_codes`` row, or ``None`` when the
+        model's breaker refuses or the (possibly injected) call fails —
+        the caller then hands the block to its next tier. An admitted
+        empty block (say, every row a cache hit) releases its half-open
+        probe instead of predicting.
         """
-        signature = self._signature_vector(request, loaded)
-        if isinstance(signature, str):
-            return signature
+        breaker = self._breaker(loaded.key)
+        if not breaker.allow():
+            return None
+        if not len(net_codes):
+            breaker.cancel_probe()
+            return np.empty(0)
+        entity = f"{loaded.key[0]}-v{loaded.key[1]}"
         fault = self.resilience.fault_plan
-        if fault is not None and fault.draw("predict", f"{loaded.key[0]}-v{loaded.key[1]}"):
-            raise RuntimeError(f"injected predict failure: {loaded.key}")
-        hw_codes = apply_bin_edges(signature[None, :], loaded.hw_edges)
-        if isinstance(net_source, (int, np.integer)):
-            net_block = loaded.net_codes[[int(net_source)]]
-        else:
-            net_block = apply_bin_edges(net_source[None, :], loaded.net_edges)
-        pred = loaded.model.regressor.predict_block(  # type: ignore[union-attr]
-            net_block, hw_codes
-        )
-        return float(pred[0])
+        try:
+            if fault is not None and fault.draw("predict", entity):
+                raise RuntimeError(f"injected predict failure: {entity}")
+            pred = loaded.model.regressor.predict_block(net_codes, hw_codes)
+        except Exception:
+            telemetry.count("serve.resilience.predict_error")
+            breaker.record_failure()
+            return None
+        breaker.record_success()
+        telemetry.count(f"serve.served_by.{tier}", len(pred))
+        if tier != TIER_PRIMARY:
+            telemetry.count(f"serve.fallback.{tier}", len(pred))
+        return pred
 
-    def _static_response(
-        self, request: PredictRequest, *, miss_reason: str = MISS_DEGRADED
+    def signature_vector(
+        self, loaded: LoadedModel, device: str, signature_ms: Mapping[str, float] | None
+    ) -> np.ndarray | str:
+        """The device's signature vector for ``loaded``, or a miss reason."""
+        source = signature_ms if signature_ms is not None else self._warm.get(device)
+        if source is None:
+            return MISS_COLD_DEVICE
+        try:
+            vector = np.array([float(source[n]) for n in loaded.signature_names])
+        except KeyError:
+            return MISS_SIGNATURE
+        return vector if np.isfinite(vector).all() else MISS_SIGNATURE
+
+    def static_response(
+        self, chain: Sequence[Candidate], request: PredictRequest
     ) -> PredictResponse:
-        """The last fallback tier: the publish-time static estimator.
+        """The chain's end for a row no model answered.
 
-        ``miss_reason`` is the terminal miss when even the estimator
-        cannot answer — ``no_model`` when nothing was ever loadable
-        (the pre-resilience contract), ``degraded`` when a primary
-        model existed but the whole chain failed.
+        The static tier answers when the chain has one and it knows the
+        network; otherwise the row misses ``degraded`` — or
+        ``no_model`` when the chain holds no model at all.
         """
-        estimator = self._static.get(request.cluster)
-        source_cluster = request.cluster
-        if estimator is None:
-            estimator = self._static.get(DEFAULT_CLUSTER)
-            source_cluster = DEFAULT_CLUSTER
-        if estimator is not None:
+        tier, estimator = chain[-1] if chain else (None, None)
+        if tier == TIER_STATIC:
             signature = request.signature_ms
             if signature is None:
                 signature = self._warm.get(request.device)
@@ -609,229 +520,118 @@ class PredictionService:
                 telemetry.count("serve.fallback.static")
                 telemetry.count(f"serve.served_by.{TIER_STATIC}")
                 return PredictResponse(
-                    network=request.network,
-                    device=request.device,
-                    cluster=request.cluster,
-                    served_cluster=source_cluster,
-                    model_version=None,
-                    latency_ms=value,
-                    served_by=TIER_STATIC,
+                    request.network, request.device, request.cluster,
+                    estimator.cluster, None, value, served_by=TIER_STATIC,
                 )
-        return self._miss(request, miss_reason)
+        modelled = bool(chain) and chain[0][0] != TIER_STATIC
+        return self.miss(request, MISS_DEGRADED if modelled else MISS_NO_MODEL)
 
-    def _degraded(
-        self,
-        request: PredictRequest,
-        net_source: int | np.ndarray,
-        models: Mapping[str, _LoadedModel],
-        stale: Mapping[str, _LoadedModel],
-        failed_keys: set[tuple[str, int]],
-    ) -> PredictResponse:
-        """Walk the fallback chain: stale → default → static → miss."""
-        candidates: list[tuple[str, _LoadedModel]] = []
-        stale_model = stale.get(request.cluster)
-        if stale_model is not None:
-            candidates.append((TIER_STALE, stale_model))
-        default_model = models.get(DEFAULT_CLUSTER)
-        if default_model is not None:
-            candidates.append((TIER_DEFAULT, default_model))
-        for tier, loaded in candidates:
-            if loaded.key in failed_keys:
-                continue
-            breaker = self._breaker(loaded.key)
-            if not breaker.allow():
-                continue
-            try:
-                result = self._predict_one(loaded, request, net_source)
-            except Exception:
-                telemetry.count("serve.resilience.predict_error")
-                breaker.record_failure()
-                failed_keys.add(loaded.key)
-                continue
-            breaker.record_success()
-            if isinstance(result, str):
-                continue  # this tier's model can't see the device; keep falling
-            telemetry.count(f"serve.fallback.{tier}")
-            telemetry.count(f"serve.served_by.{tier}")
-            return PredictResponse(
-                network=request.network,
-                device=request.device,
-                cluster=request.cluster,
-                served_cluster=loaded.checkpoint.cluster,
-                model_version=loaded.checkpoint.version,
-                latency_ms=result,
-                served_by=tier,
-            )
-        return self._static_response(request)
+    def miss(self, request: PredictRequest, reason: str) -> PredictResponse:
+        """A typed miss response for ``request`` (counted as ``serve.miss.*``)."""
+        telemetry.count(f"serve.miss.{reason}")
+        return PredictResponse(
+            request.network, request.device, request.cluster, None, None, None, error=reason
+        )
 
-    def _resolve_block(
-        self,
-        models: Mapping[str, _LoadedModel],
-        stale: Mapping[str, _LoadedModel],
-        cluster: str,
-    ) -> tuple[_LoadedModel | None, str | None]:
-        """Pick one (model, tier) to serve a whole block of requests.
+    def _shed_response(self, request: PredictRequest, reason: str) -> PredictResponse:
+        """Map a batcher shed (overload / deadline) to a typed miss response."""
+        return self.miss(request, MISS_OVERLOADED if reason == SHED_OVERLOADED else MISS_DEADLINE)
 
-        Walks primary → stale → default, skipping models whose breaker
-        refuses. Used by the bulk plane, where every row shares one
-        routed model. Returns ``(None, None)`` when nothing allows; a
-        half-open admission must be followed by an exercised predict
-        (or :meth:`CircuitBreaker.cancel_probe`).
-        """
-        candidates: list[tuple[str, _LoadedModel]] = []
-        primary = models.get(cluster)
-        if primary is not None:
-            candidates.append((TIER_PRIMARY, primary))
-        stale_model = stale.get(cluster)
-        if stale_model is not None:
-            candidates.append((TIER_STALE, stale_model))
-        if cluster != DEFAULT_CLUSTER:
-            default_model = models.get(DEFAULT_CLUSTER)
-            if default_model is not None:
-                candidates.append((TIER_DEFAULT, default_model))
-        for tier, loaded in candidates:
-            if self._breaker(loaded.key).allow():
-                if tier == TIER_DEFAULT and primary is None and stale_model is None:
-                    telemetry.count("serve.route.fallback")
-                return loaded, tier
-        return None, None
+    # -- the micro-batch flush ------------------------------------------
 
     def _flush(self, requests: list[PredictRequest]) -> list[PredictResponse]:
-        """Answer one micro-batch with one ``predict_binned`` per model.
+        """Answer one micro-batch: one chain per cluster, one kernel call per tier.
 
-        Requests group by their routed model; each group's design codes
-        are gathered from the model's precomputed suite codes plus the
-        freshly binned signature block, then predicted in one flat-SoA
-        call. Row order within a group follows request order, and every
-        step is row-independent — byte-identical to serving each
-        request alone. A group whose breaker is open (or whose predict
-        call fails) degrades per-request down the fallback chain
-        instead of failing the batch.
+        Rows group by cluster and each group walks its cluster's chain
+        as one block, so a failing model costs one fault draw and one
+        breaker failure per flush, whatever the block size. Row order
+        within a block follows request order and every step is
+        row-independent — byte-identical to serving each request alone.
         """
         start = time.perf_counter()
-        models = self._models  # one atomic snapshot for the whole batch
-        stale = self._stale
         telemetry.count("serve.requests", len(requests))
+        router = self.router  # one atomic snapshot for the whole batch
         responses: list[PredictResponse | None] = [None] * len(requests)
-        groups: dict[tuple[str, int], tuple[_LoadedModel, list, list, list, list]] = {}
-        blocked: set[tuple[str, int]] = set()
+        sources: list[int | np.ndarray | None] = [None] * len(requests)
+        groups: dict[str, list[int]] = {}
         for i, request in enumerate(requests):
-            net_source: int | np.ndarray
-            try:
-                net_source = self._enc.row_index(request.network)
-            except KeyError:
-                if request.definition is None:
-                    responses[i] = self._miss(request, MISS_UNKNOWN_NETWORK)
-                    continue
-                # Ad-hoc candidate: a full from-scratch encode per
-                # request, by design — this is the reference path the
-                # bulk plane's caches are measured against.
-                try:
-                    net_source = self._enc.encoder.encode(request.definition)
-                except ValueError:
-                    responses[i] = self._miss(request, MISS_UNENCODABLE)
-                    continue
-                telemetry.count("serve.adhoc_encoded")
-            loaded = models.get(request.cluster)
-            tier = TIER_PRIMARY
-            if loaded is None:
-                stale_model = stale.get(request.cluster)
-                if stale_model is not None:
-                    loaded, tier = stale_model, TIER_STALE
-            if loaded is None and request.cluster != DEFAULT_CLUSTER:
-                loaded = models.get(DEFAULT_CLUSTER)
-                if loaded is not None:
-                    tier = TIER_DEFAULT
-                    telemetry.count("serve.route.fallback")
-            if loaded is None:
-                responses[i] = self._static_response(request, miss_reason=MISS_NO_MODEL)
-                continue
-            if loaded.key in blocked:
-                responses[i] = self._degraded(
-                    request, net_source, models, stale, {loaded.key}
-                )
-                continue
-            signature = self._signature_vector(request, loaded)
-            if isinstance(signature, str):
-                responses[i] = self._miss(request, signature)
-                continue
-            if request.signature_ms is not None:
-                telemetry.count("serve.cold_served")
+            source = self._network_source(request)
+            if isinstance(source, str):
+                responses[i] = self.miss(request, source)
             else:
-                telemetry.count("serve.warm_served")
-            group = groups.get(loaded.key)
-            if group is None:
-                # The breaker is consulted once per (cluster, version)
-                # per flush, exactly when its first row arrives — a
-                # half-open admission is therefore always exercised by
-                # a real predict call, whose outcome closes or re-opens
-                # the breaker.
-                if not self._breaker(loaded.key).allow():
-                    blocked.add(loaded.key)
-                    responses[i] = self._degraded(
-                        request, net_source, models, stale, {loaded.key}
-                    )
-                    continue
-                group = groups[loaded.key] = (loaded, [], [], [], [])
-            group[1].append(i)
-            group[2].append(net_source)
-            group[3].append(signature)
-            group[4].append(tier)
-
-        fault = self.resilience.fault_plan
-        for key, (loaded, idx, net_sources, signatures, tiers) in groups.items():
-            breaker = self._breaker(key)
-            try:
-                if fault is not None and fault.draw("predict", f"{key[0]}-v{key[1]}"):
-                    raise RuntimeError(f"injected predict failure: {key}")
-                hw_codes = apply_bin_edges(np.stack(signatures), loaded.hw_edges)
-                net_width = loaded.net_codes.shape[1]
-                net_block = np.empty((len(idx), net_width), dtype=np.uint8)
-                suite_pos = [
-                    j
-                    for j, s in enumerate(net_sources)
-                    if isinstance(s, (int, np.integer))
-                ]
-                if suite_pos:
-                    net_block[suite_pos] = loaded.net_codes[
-                        [net_sources[j] for j in suite_pos]
-                    ]
-                adhoc_pos = [
-                    j
-                    for j, s in enumerate(net_sources)
-                    if not isinstance(s, (int, np.integer))
-                ]
-                if adhoc_pos:
-                    net_block[adhoc_pos] = apply_bin_edges(
-                        np.stack([net_sources[j] for j in adhoc_pos]), loaded.net_edges
-                    )
-                pred = loaded.model.regressor.predict_block(  # type: ignore[union-attr]
-                    net_block, hw_codes
-                )
-            except Exception:
-                # The whole group degrades; the batch never fails.
-                telemetry.count("serve.resilience.predict_error")
-                breaker.record_failure()
-                for j, i in enumerate(idx):
-                    responses[i] = self._degraded(
-                        requests[i], net_sources[j], models, stale, {key}
-                    )
-                continue
-            breaker.record_success()
-            for count_tier, n in Counter(tiers).items():
-                telemetry.count(f"serve.served_by.{count_tier}", n)
-                if count_tier != TIER_PRIMARY:
-                    telemetry.count(f"serve.fallback.{count_tier}", n)
-            for j, i in enumerate(idx):
-                request = requests[i]
-                responses[i] = PredictResponse(
-                    network=request.network,
-                    device=request.device,
-                    cluster=request.cluster,
-                    served_cluster=loaded.checkpoint.cluster,
-                    model_version=loaded.checkpoint.version,
-                    latency_ms=float(pred[j]),
-                    served_by=tiers[j],
-                )
+                sources[i] = source
+                groups.setdefault(request.cluster, []).append(i)
+        for cluster, rows in groups.items():
+            self._walk(router.chain(cluster), requests, rows, sources, responses)
         telemetry.observe("serve.predict_ms", (time.perf_counter() - start) * 1e3)
         return responses  # type: ignore[return-value]
+
+    def _network_source(self, request: PredictRequest) -> int | np.ndarray | str:
+        """The request's suite row, its ad-hoc encoding, or a miss reason."""
+        try:
+            return self._enc.row_index(request.network)
+        except KeyError:
+            if request.definition is None:
+                return MISS_UNKNOWN_NETWORK
+        # Ad-hoc candidate: a full from-scratch encode per request, by
+        # design — the reference path the bulk plane's caches amortize.
+        try:
+            encoded = self._enc.encoder.encode(request.definition)
+        except ValueError:
+            return MISS_UNENCODABLE
+        telemetry.count("serve.adhoc_encoded")
+        return encoded
+
+    def _walk(
+        self, chain: list[Candidate], requests: list[PredictRequest], pending: list[int],
+        sources: list, responses: list[PredictResponse | None],
+    ) -> None:
+        """Serve one cluster's rows down its chain, one kernel call per tier."""
+        for n, (tier, loaded) in enumerate(chain):
+            if tier == TIER_STATIC or not pending:
+                break
+            signatures = {
+                i: self.signature_vector(loaded, requests[i].device, requests[i].signature_ms)
+                for i in pending
+            }
+            if n == 0:  # the routed model decides whether a device is servable
+                if tier == TIER_DEFAULT:
+                    telemetry.count("serve.route.fallback", len(pending))
+                for i in pending:
+                    if isinstance(signatures[i], str):
+                        responses[i] = self.miss(requests[i], signatures[i])
+                pending = [i for i in pending if responses[i] is None]
+                cold = sum(requests[i].signature_ms is not None for i in pending)
+                for name, count in (("cold", cold), ("warm", len(pending) - cold)):
+                    if count:
+                        telemetry.count(f"serve.{name}_served", count)
+            ready = [i for i in pending if not isinstance(signatures[i], str)]
+            if not ready:
+                continue
+            hw_codes = apply_bin_edges(np.stack([signatures[i] for i in ready]), loaded.hw_edges)
+            net_codes = _net_block(loaded, [sources[i] for i in ready])
+            pred = self.score(loaded, net_codes, hw_codes, tier)
+            if pred is None:
+                continue
+            for i, value in zip(ready, pred):
+                request = requests[i]
+                responses[i] = PredictResponse(
+                    request.network, request.device, request.cluster,
+                    loaded.checkpoint.cluster, loaded.checkpoint.version,
+                    float(value), served_by=tier,
+                )
+            pending = [i for i in pending if responses[i] is None]
+        for i in pending:
+            responses[i] = self.static_response(chain, requests[i])
+
+
+def _net_block(loaded: LoadedModel, sources: list) -> np.ndarray:
+    """Rows' network codes: suite rows gathered, ad-hoc encodings binned."""
+    adhoc = [j for j, s in enumerate(sources) if isinstance(s, np.ndarray)]
+    if not adhoc:
+        return loaded.net_codes[sources]
+    block = np.empty((len(sources), loaded.net_codes.shape[1]), dtype=np.uint8)
+    suite = [j for j, s in enumerate(sources) if not isinstance(s, np.ndarray)]
+    block[suite] = loaded.net_codes[[sources[j] for j in suite]]
+    block[adhoc] = apply_bin_edges(np.stack([sources[j] for j in adhoc]), loaded.net_edges)
+    return block

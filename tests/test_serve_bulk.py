@@ -1,7 +1,10 @@
 """Bulk query plane tests: byte-identity against the per-request and
 micro-batched paths, content-hash dedup within and across calls, LRU
 eviction under a tiny budget, incremental re-encode correctness after
-depth/width/kernel mutations, and hot-swap (refresh) freshness."""
+depth/width/kernel mutations, hot-swap (refresh) freshness, and the
+shared fallback chain: a bulk block and a micro-batch of the same rows
+get the same tier, cluster, version and latency bytes in every
+degraded case, and a failing group costs one kernel call per tier."""
 
 from __future__ import annotations
 
@@ -10,15 +13,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.collaborative import CollaborativeRepository
 from repro.core.representation import network_content_hash
 from repro.search.space import EvolutionSpace, mutate, random_genotype
 from repro.serve import (
+    DEFAULT_CLUSTER,
     BulkQueryPlane,
     ModelRegistry,
     PredictRequest,
     PredictionService,
 )
+from repro.serve.resilience import ResilienceConfig, ServeFaultPlan, fit_static_estimate
 from repro.serve.service import MISS_UNENCODABLE
 
 
@@ -203,7 +209,7 @@ class TestMutationChildren:
 
 class TestMisses:
     def test_too_deep_candidate_misses_unencodable(self, served):
-        encoder = served.service._enc.encoder
+        encoder = served.service.encoder
         space = EvolutionSpace(max_blocks=encoder.max_layers)  # way too deep
         rng = np.random.default_rng(10)
         g = random_genotype(space, rng)
@@ -294,7 +300,7 @@ class TestPerRequestDefinitionPath:
         assert response.error == "unknown_network"
 
     def test_definition_deeper_than_encoder_misses(self, served):
-        encoder = served.service._enc.encoder
+        encoder = served.service.encoder
         space = EvolutionSpace(max_blocks=encoder.max_layers)
         rng = np.random.default_rng(15)
         g = random_genotype(space, rng)
@@ -308,3 +314,179 @@ class TestPerRequestDefinitionPath:
             )
         )
         assert response.error == MISS_UNENCODABLE
+
+
+# ---------------------------------------------------------------------------
+# One chain, one kernel: every predict path agrees
+
+
+@pytest.fixture(scope="module")
+def models(small_suite, small_dataset):
+    """Two trained repositories whose signature sets are disjoint."""
+
+    def train(signature_names=None):
+        repo = CollaborativeRepository(
+            small_dataset, small_suite, signature_size=5, seed=0,
+            signature_names=signature_names,
+        )
+        for device in small_dataset.device_names[:12]:
+            repo.join(device, 0.5)
+        return repo, repo.train(regressor_seed=0)
+
+    main = train()
+    others = [n for n in small_dataset.network_names if n not in main[0].signature_names]
+    return SimpleNamespace(main=main, other=train(others[:5]))
+
+
+def publish(registry, trained, dataset, *, cluster=DEFAULT_CLUSTER, tag=0):
+    repo, model = trained
+    static = fit_static_estimate(dataset, repo.signature_names, sorted(repo.contributions))
+    return registry.publish(
+        model, {"tag": tag}, cluster=cluster, metadata={"static_estimate": static}
+    )
+
+
+def stale_primary_open(reg, m, ds):
+    publish(reg, m.main, ds, tag=1)
+
+    def arm(service):
+        publish(reg, m.main, ds, tag=2)
+        assert service.refresh() == {DEFAULT_CLUSTER: 2}
+        service._breaker((DEFAULT_CLUSTER, 2)).record_failure()
+
+    return arm
+
+
+def cluster_tripped(reg, m, ds):
+    publish(reg, m.main, ds)
+    publish(reg, m.main, ds, cluster="west")
+    return lambda service: service._breaker(("west", 1)).record_failure()
+
+
+def total_checkpoint_loss(reg, m, ds):
+    publish(reg, m.main, ds).path.write_bytes(b"rotten")
+    return lambda service: None
+
+
+def fallback_lacks_signature(reg, m, ds):
+    publish(reg, m.other, ds)
+    publish(reg, m.main, ds, cluster="west")
+    return lambda service: service._breaker(("west", 1)).record_failure()
+
+
+def outcome(response):
+    latency = None if response.latency_ms is None else response.latency_ms.hex()
+    return (response.served_by, response.served_cluster, response.model_version,
+            response.error, latency)
+
+
+@pytest.mark.parametrize(
+    "setup, cluster, device, shipped, expected",
+    [
+        (stale_primary_open, DEFAULT_CLUSTER, "warm", False, ("stale", DEFAULT_CLUSTER, 1)),
+        (cluster_tripped, "west", "warm", False, ("default", DEFAULT_CLUSTER, 1)),
+        (total_checkpoint_loss, DEFAULT_CLUSTER, "warm", False,
+         ("static", DEFAULT_CLUSTER, None)),
+        # The routed (tripped) west model sees the shipped signature, the
+        # default model cannot: the block falls through to west's static.
+        (fallback_lacks_signature, "west", "fresh", True, ("static", "west", None)),
+        # The routed model decides servability for every row alike, even
+        # while its breaker is open: no shipped signature, no answer.
+        (stale_primary_open, DEFAULT_CLUSTER, "fresh", False, (None, None, None)),
+    ],
+    ids=["stale", "default", "static", "fallback-signature", "cold-device"],
+)
+def test_bulk_and_micro_batch_walk_the_same_chain(
+    setup, cluster, device, shipped, expected, tmp_path, models, small_suite, small_dataset
+):
+    reg = ModelRegistry(tmp_path / "r")
+    arm = setup(reg, models, small_dataset)
+    names = small_dataset.network_names[:8]
+    if device == "warm":
+        device = small_dataset.device_names[0]
+    signature = (
+        {n: small_dataset.latency(small_dataset.device_names[0], n)
+         for n in models.main[0].signature_names}
+        if shipped else None
+    )
+    with PredictionService(
+        reg, list(small_suite), dataset=small_dataset,
+        max_batch=len(names), max_wait_ms=1000.0,
+        resilience=ResilienceConfig(breaker_threshold=1, breaker_reset_s=1e6),
+    ) as service:
+        arm(service)
+        bulk = BulkQueryPlane(service).predict_block(
+            [small_suite[n] for n in names], device, cluster=cluster, signature_ms=signature
+        )
+        batched = service.predict_many(
+            [PredictRequest(n, device, cluster, signature) for n in names]
+        )
+    assert [outcome(r) for r in bulk] == [outcome(r) for r in batched]
+    assert {outcome(r)[:3] for r in bulk} == {expected}
+    if expected[0] is None:
+        assert {r.error for r in bulk} == {"cold_device"}
+
+
+def test_bulk_serves_static_tier_after_total_checkpoint_loss(
+    tmp_path, models, small_suite, small_dataset
+):
+    reg = ModelRegistry(tmp_path / "r")
+    total_checkpoint_loss(reg, models, small_dataset)
+    device = small_dataset.device_names[0]
+    with PredictionService(reg, list(small_suite), dataset=small_dataset) as service:
+        assert service.model_versions() == {}
+        suite_nets = [small_suite[n] for n in small_dataset.network_names[:4]]
+        responses = BulkQueryPlane(service).predict_block(suite_nets + _candidates(2), device)
+    assert [r.served_by for r in responses[:4]] == ["static"] * 4
+    assert all(r.latency_ms > 0 and r.model_version is None for r in responses[:4])
+    # Ad-hoc candidates are outside the publish-time means: nothing to serve.
+    assert [r.error for r in responses[4:]] == ["no_model"] * 2
+
+
+@pytest.mark.parametrize("rows", [1, 8, 32])
+def test_failing_group_walks_the_chain_once(rows, tmp_path, models, small_suite, small_dataset):
+    reg = ModelRegistry(tmp_path / "r")
+    publish(reg, models.main, small_dataset)
+    publish(reg, models.main, small_dataset, cluster="west")
+    names = small_dataset.network_names
+    plan = ServeFaultPlan(seed=0, predict_failure_probability=1.0)
+    with telemetry.scoped_registry() as treg:
+        with PredictionService(
+            reg, list(small_suite), dataset=small_dataset,
+            max_batch=rows, max_wait_ms=1000.0,
+            resilience=ResilienceConfig(breaker_threshold=1000, fault_plan=plan),
+        ) as service:
+            responses = service.predict_many([
+                PredictRequest(names[k % len(names)], small_dataset.device_names[0], "west")
+                for k in range(rows)
+            ])
+        counters = treg.snapshot()["counters"]
+    # One failed call for west, one for default, then the static tier —
+    # whatever the group size, so the breaker threshold counts calls.
+    assert counters["serve.fault.predict"] == 2
+    assert counters["serve.resilience.predict_error"] == 2
+    assert [r.served_by for r in responses] == ["static"] * rows
+
+
+def test_degraded_micro_batch_answers_each_row_as_if_alone(
+    tmp_path, models, small_suite, small_dataset
+):
+    """Under an open breaker, a row's answer does not depend on which
+    rows share its flush: servable rows fall to the stale tier, and a
+    cold device without a signature misses as it would alone."""
+    reg = ModelRegistry(tmp_path / "r")
+    arm = stale_primary_open(reg, models, small_dataset)
+    names = small_dataset.network_names[:4]
+    warm = small_dataset.device_names[0]
+    requests = [PredictRequest(n, d) for d in (warm, "fresh") for n in names]
+    config = ResilienceConfig(breaker_threshold=1, breaker_reset_s=1e6)
+    with PredictionService(
+        reg, list(small_suite), dataset=small_dataset,
+        max_batch=len(requests), max_wait_ms=1000.0, resilience=config,
+    ) as service:
+        arm(service)
+        batched = service.predict_many(requests)
+        alone = [service.predict_many([r])[0] for r in requests]
+    assert [outcome(r) for r in batched] == [outcome(r) for r in alone]
+    assert [r.served_by for r in batched[:4]] == ["stale"] * 4
+    assert [r.error for r in batched[4:]] == ["cold_device"] * 4
