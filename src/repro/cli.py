@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--signature-size", type=int, default=10)
         p.add_argument("--max-batch", type=int, default=64,
                        help="micro-batch size cap")
-        p.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="max time a queued request waits for batch-mates")
+        p.add_argument("--max-wait-ms", type=float, default=0.0,
+                       help="0 = flush when the worker is idle; > 0 = wait "
+                       "up to this long for batch-mates")
         p.add_argument("--cold-fraction", type=float, default=0.1,
                        help="fraction of devices issuing cold requests "
                        "(shipping their own signature measurements)")

@@ -383,8 +383,6 @@ def build_search_plane(
     signature_size: int = 10,
     members: int | None = None,
     seed: int = 0,
-    max_batch: int = 64,
-    max_wait_ms: float = 2.0,
     publish: bool = False,
     max_encodings: int = 4096,
     max_encoding_bytes: int | None = None,
@@ -409,13 +407,7 @@ def build_search_plane(
             members=members,
             seed=seed,
         )
-    service = PredictionService(
-        registry,
-        list(artifacts.suite),
-        dataset=artifacts.dataset,
-        max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
-    )
+    service = PredictionService(registry, list(artifacts.suite), dataset=artifacts.dataset)
     plane = BulkQueryPlane(
         service,
         max_encodings=max_encodings,

@@ -9,8 +9,9 @@ the trained model into a long-lived, in-process service:
   per-device-cluster routing and atomic publish, so a collaborative
   retrain hot-swaps into the serving path without a restart;
 - :mod:`repro.serve.batcher` — a thread-safe micro-batching queue that
-  coalesces up to ``max_batch`` requests (or whatever arrived within
-  ``max_wait_ms``) into one flush;
+  flushes as soon as its worker is idle, coalescing what arrived during
+  the previous flush (up to ``max_batch`` requests; a positive
+  ``max_wait_ms`` lingers for batch-mates instead);
 - :mod:`repro.serve.service` — the :class:`PredictionService` facade:
   sync / future / asyncio submission, warm device-signature cache,
   typed miss responses, hot swap via

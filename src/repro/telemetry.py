@@ -385,12 +385,13 @@ def summarize(reg: MetricsRegistry | None = None) -> dict[str, Any]:
       rejection counts;
     - ``serve``: prediction-service accounting — requests answered,
       warm vs cold, per-reason misses, batch count and mean size,
-      flush causes (``batch_full`` vs ``batch_timeout`` vs
-      ``batch_shutdown``), hot swaps, routing fallbacks, and the last
-      observed ingress queue depth; its ``bulk`` sub-block explains
-      the bulk query plane's wins — dedup ratio (queries answered
-      without a fresh prediction), encoding-cache hit ratio and
-      evictions, and rows actually predicted; its ``resilience``
+      flush causes (``batch_full`` vs ``batch_idle`` vs
+      ``batch_timeout`` vs ``batch_shutdown``), hot swaps, routing
+      fallbacks, and the last observed ingress queue depth; its
+      ``bulk`` sub-block explains the bulk query plane's wins — dedup
+      ratio (queries answered without a fresh prediction),
+      encoding-cache hit ratio and evictions, and rows actually
+      predicted; its ``resilience``
       sub-block covers the degraded paths — shed counts (overload /
       deadline / abandoned), breaker transitions, per-tier serve and
       fallback counts, predict/registry errors, and injected faults
@@ -472,7 +473,7 @@ def summarize(reg: MetricsRegistry | None = None) -> dict[str, Any]:
         "mean_batch_size": batch_stats.get("mean"),
         "flushes": {
             cause: counters.get(f"serve.batch_{cause}", 0)
-            for cause in ("full", "timeout", "shutdown")
+            for cause in ("full", "idle", "timeout", "shutdown")
         },
         "publishes": counters.get("serve.publish", 0),
         "hot_swaps": counters.get("serve.hot_swap", 0),

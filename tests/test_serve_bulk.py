@@ -490,3 +490,41 @@ def test_degraded_micro_batch_answers_each_row_as_if_alone(
     assert [outcome(r) for r in batched] == [outcome(r) for r in alone]
     assert [r.served_by for r in batched[:4]] == ["stale"] * 4
     assert [r.error for r in batched[4:]] == ["cold_device"] * 4
+
+
+def test_clusters_sharing_a_chain_share_one_kernel_call(
+    tmp_path, models, small_suite, small_dataset, monkeypatch
+):
+    """Two unpublished clusters both route to ``default``: one flush of
+    their rows walks that chain once, with one ``predict_block`` call."""
+    from repro.ml.gbt import GradientBoostedTrees
+
+    reg = ModelRegistry(tmp_path / "r")
+    publish(reg, models.main, small_dataset)
+    device = small_dataset.device_names[0]
+    requests = [
+        PredictRequest(n, device, cluster)
+        for n in small_dataset.network_names[:4]
+        for cluster in ("a", "b")
+    ]
+    calls = []
+    kernel = GradientBoostedTrees.predict_block
+
+    def counting(self, net_codes, hw_codes):
+        calls.append(len(net_codes))
+        return kernel(self, net_codes, hw_codes)
+
+    monkeypatch.setattr(GradientBoostedTrees, "predict_block", counting)
+    with PredictionService(
+        reg, list(small_suite), dataset=small_dataset,
+        max_batch=len(requests), max_wait_ms=1000.0,
+    ) as service:
+        with telemetry.scoped_registry() as treg:
+            batched = service.predict_many(requests)
+        counters = treg.snapshot()["counters"]
+        assert calls == [len(requests)]
+        alone = [service.predict_many([r])[0] for r in requests]
+    assert [outcome(r) for r in batched] == [outcome(r) for r in alone]
+    assert [r.cluster for r in batched] == [r.cluster for r in requests]
+    assert {r.served_by for r in batched} == {"default"}
+    assert counters["serve.route.fallback"] == len(requests)
