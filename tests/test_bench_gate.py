@@ -2,6 +2,7 @@
 compare() semantics on synthetic baselines, baseline round-trips, the
 synthetic-slowdown knob, and end-to-end pass/fail behavior."""
 
+import gc
 import json
 
 import pytest
@@ -264,8 +265,13 @@ class TestRunGate:
         4x injected slowdown must fail the gate."""
         args = ["--baseline-dir", str(tmp_path), "--scale", "small", "--only", "cache"]
         monkeypatch.delenv("REPRO_BENCH_SLOWDOWN", raising=False)
+        # A full collection of the garbage earlier tests left behind takes
+        # ~0.1 s, twice this bench's cold build; landing inside either run's
+        # timed builds it decides the verdict. Collect before each run.
+        gc.collect()
         assert regression.run_gate([*args, "--update"]) == 0
         monkeypatch.setenv("REPRO_BENCH_SLOWDOWN", "4.0")
+        gc.collect()
         assert regression.run_gate(args) == 1
 
 
