@@ -28,7 +28,7 @@ lint:
 	fi
 
 bench-smoke:
-	PYTHONPATH=src pytest benchmarks/ -q -k "fig09 or fig11"
+	PYTHONPATH=src pytest benchmarks/ -q -k "fig09 or fig11 or fig12 or fig13 or table1"
 	PYTHONPATH=src pytest benchmarks/test_perf_parallel_campaign.py -q
 	PYTHONPATH=src pytest benchmarks/test_perf_train_path.py -q
 

@@ -16,13 +16,16 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.core.cost_model import CostModel, default_regressor
-from repro.core.representation import SignatureHardwareEncoder, shared_encoded_suite
+from repro.core.cost_model import (
+    default_regressor,
+    fit_pairs,
+    gather_pair_codes,
+    observed_pairs,
+)
+from repro.core.representation import shared_encoded_suite
 from repro.core.signature import select_signature_set
 from repro.dataset.dataset import LatencyDataset
 from repro.generator.suite import BenchmarkSuite
-from repro.ml.binning import apply_bin_edges, repeated_quantile_edges
-from repro.ml.gbt import GradientBoostedTrees
 from repro.ml.metrics import r2_score, rmse
 from repro.ml.model_selection import train_test_split
 from repro.parallel import Executor, get_executor
@@ -117,105 +120,32 @@ def _run_signature_protocol(
             "train or test side; re-measure or drop incomplete devices"
         )
 
-    target_cols = [dataset.network_index(n) for n in target_networks]
-
     enc_suite = shared_encoded_suite(list(suite))
-    hw_encoder = SignatureHardwareEncoder(signature_names)
     regressor = default_regressor(regressor_seed)
-
-    target_cols_arr = np.asarray(target_cols, dtype=np.intp)
-    train_rows_arr = np.asarray(
-        [dataset.device_index(d) for d in train_devices], dtype=np.intp
+    target_cols = np.asarray(
+        [dataset.network_index(n) for n in target_networks], dtype=np.intp
     )
-    test_rows_arr = np.asarray(
-        [dataset.device_index(d) for d in test_devices], dtype=np.intp
+    target_rows = np.asarray(
+        [enc_suite.row_index(n) for n in target_networks], dtype=np.intp
     )
-    train_block = dataset.latencies_ms[train_rows_arr[:, None], target_cols_arr]
-    test_block = dataset.latencies_ms[test_rows_arr[:, None], target_cols_arr]
-
-    def hw_matrix(devices: Sequence[str]) -> np.ndarray:
-        return np.stack([hw_encoder.encode_from_dataset(dataset, d) for d in devices])
-
-    # Fast path: on a complete dataset the training pairs are the full
-    # (train device x target network) cross product, so every network
-    # row repeats exactly len(train_devices) times in the design
-    # matrix. Its network-block bin edges then come straight from the
-    # suite's pre-sorted QuantizedFeatureBlock — no wide float design
-    # matrix is ever materialized, and the GBT trains on pre-binned
-    # codes via fit_binned. Results are byte-identical to binning the
-    # assembled matrix from scratch (tested against the frozen legacy
-    # path); any missing cell falls back to the generic route below.
-    if (
-        isinstance(regressor, GradientBoostedTrees)
-        and target_networks
-        and not np.isnan(train_block).any()
-        and not np.isnan(test_block).any()
-    ):
-        n_train, n_test, n_targets = len(train_devices), len(test_devices), len(target_networks)
-        net_w = enc_suite.encoder.width
-
-        target_suite_rows = np.asarray(
-            [enc_suite.row_index(n) for n in target_networks], dtype=np.intp
-        )
-        member = np.zeros(enc_suite.matrix.shape[0], dtype=bool)
-        member[target_suite_rows] = True
-        net_edges = enc_suite.block.subset_edges(member, n_train, regressor.max_bins)
-        net_codes = apply_bin_edges(enc_suite.matrix, net_edges)
-
-        hw_train = hw_matrix(train_devices)
-        hw_sorted = np.sort(hw_train.T, axis=1)
-        hw_edges = repeated_quantile_edges(hw_sorted, n_targets, regressor.max_bins)
-        hw_codes_train = apply_bin_edges(hw_train, hw_edges)
-        hw_codes_test = apply_bin_edges(hw_matrix(test_devices), hw_edges)
-
-        def assemble_codes(hw_codes: np.ndarray, n_dev: int) -> np.ndarray:
-            codes = np.empty(
-                (n_dev * n_targets, net_w + hw_encoder.width), dtype=np.uint8
-            )
-            codes[:, :net_w] = net_codes[np.tile(target_suite_rows, n_dev)]
-            codes[:, net_w:] = np.repeat(hw_codes, n_targets, axis=0)
-            return codes
-
-        y_train = train_block.ravel()
-        y_test = test_block.ravel()
-        regressor.fit_binned(
-            assemble_codes(hw_codes_train, n_train), net_edges + hw_edges, y_train
-        )
-        y_pred = regressor.predict_binned(assemble_codes(hw_codes_test, n_test))
-    else:
-        def observed_pairs(devices: Sequence[str]) -> list[tuple[str, str]]:
-            pairs: list[tuple[str, str]] = []
-            for device in devices:
-                row = dataset.latencies_ms[dataset.device_index(device)]
-                pairs.extend(
-                    (device, network)
-                    for network, col in zip(target_networks, target_cols)
-                    if not np.isnan(row[col])
-                )
-            return pairs
-
-        model = CostModel(enc_suite.encoder, hw_encoder, regressor)
-        features = {n: enc_suite.row(n) for n in target_networks}
-
-        def hardware_map(devices: Sequence[str]) -> dict[str, np.ndarray]:
-            return {d: hw_encoder.encode_from_dataset(dataset, d) for d in devices}
-
-        X_train, y_train = model.build_training_set(
-            dataset,
-            suite,
-            hardware_map(train_devices),
-            pairs=observed_pairs(train_devices),
-            network_features=features,
-        )
-        X_test, y_test = model.build_training_set(
-            dataset,
-            suite,
-            hardware_map(test_devices),
-            pairs=observed_pairs(test_devices),
-            network_features=features,
-        )
-        model.fit(X_train, y_train)
-        y_pred = model.predict(X_test)
+    # Train devices first, then test devices: one hardware block (the
+    # signature latencies) whose test rows no training pair names, so
+    # they are coded under the training edges without shaping them.
+    device_rows = np.asarray(
+        [dataset.device_index(d) for d in (*train_devices, *test_devices)],
+        dtype=np.intp,
+    )
+    hw = dataset.latencies_ms[device_rows[:, None], sig_cols]
+    block = dataset.latencies_ms[device_rows[:, None], target_cols]
+    n_train = len(train_devices)
+    train_dev, train_net, y_train = observed_pairs(block[:n_train], target_rows)
+    test_dev, test_net, y_test = observed_pairs(block[n_train:], target_rows)
+    net_codes, hw_codes = fit_pairs(
+        regressor, enc_suite, hw, train_net, train_dev, y_train
+    )
+    y_pred = regressor.predict_binned(
+        gather_pair_codes(net_codes, hw_codes, test_net, test_dev + n_train)
+    )
     return EvaluationResult(
         method=method,
         signature_names=tuple(signature_names),

@@ -1,32 +1,26 @@
 """Quantile binning utilities shared across the training pipeline.
 
 The GBT learner trains on quantile-binned feature codes (histogram
-method). Before this module existed, every fit re-derived bin edges
-from scratch by running ``np.quantile`` over each column of the full
-design matrix — even though in the evaluation sweeps the network-
-encoding block of that matrix is the *same* ~1.6k columns repeated for
-every (device, network) pair, cell after cell.
+method). Fitting on the float design matrix re-derives bin edges by
+running ``np.quantile`` over each column of every (device, network)
+pair, even though the network-encoding block of that matrix is the
+*same* ~1.6k columns repeated for every device.
 
-Three pieces let callers pay for quantization once:
+Two pieces let callers pay for quantization once:
 
 - :func:`fit_bin_edges` / :func:`apply_bin_edges` — the exact seed
-  binning primitives, relocated here from ``repro.ml.gbt`` (which
-  re-exports them under their old underscore names).
-- :func:`repeated_quantile_edges` — given *per-column sorted* values of
-  ``m`` distinct items, reproduces **bit-for-bit** what
-  ``np.quantile`` would return on those values repeated ``k`` times
-  each, without ever materializing the ``m * k`` rows. This works
-  because the order statistics of ``repeat(sorted_u, k)`` are
-  ``sorted_u[j // k]`` and numpy's ``linear`` interpolation is a fixed
-  arithmetic expression of two order statistics (replicated exactly in
-  :func:`_numpy_lerp`).
+  binning primitives.
 - :class:`QuantizedFeatureBlock` — a per-column sort of a fixed feature
-  block (e.g. all encoded networks of a suite), from which the bin
-  edges of any *equal-count row subset* are derived in microseconds via
-  :meth:`~QuantizedFeatureBlock.subset_edges`, and of arbitrary
-  per-row multiplicities via :meth:`~QuantizedFeatureBlock.weighted_edges`
-  (the collaborative-repository case, where devices contribute
-  different network subsets).
+  block (e.g. all encoded networks of a suite), from which
+  :meth:`~QuantizedFeatureBlock.weighted_edges` derives, **bit-for-bit**,
+  the bin edges ``np.quantile`` would give on the block's rows repeated
+  any number of times each, without materializing the repeats. This
+  works because ``np.quantile`` depends only on each column's value
+  multiset, and numpy's ``linear`` interpolation is a fixed arithmetic
+  expression of two order statistics (replicated exactly in
+  :func:`_numpy_lerp`). The pair-level fit in
+  :mod:`repro.core.cost_model` derives every training cell's edges this
+  way.
 
 :func:`dedup_columns` supports a second reuse axis: masked layer
 encodings contain many byte-identical columns (repeated one-hot /
@@ -43,7 +37,6 @@ __all__ = [
     "apply_bin_edges",
     "dedup_columns",
     "fit_bin_edges",
-    "repeated_quantile_edges",
 ]
 
 
@@ -86,53 +79,6 @@ def _numpy_lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def repeated_quantile_edges(
-    sorted_cols: np.ndarray, repeats: int, max_bins: int
-) -> list[np.ndarray]:
-    """Bin edges of each column's values repeated ``repeats`` times.
-
-    Parameters
-    ----------
-    sorted_cols:
-        ``(n_cols, m)`` array; each row holds one column's ``m`` values
-        in ascending order.
-    repeats:
-        How many times each value is replicated (``k`` devices sharing
-        the same network rows).
-    max_bins:
-        Histogram resolution, as in :func:`fit_bin_edges`.
-
-    Returns exactly what ``fit_bin_edges(np.repeat(values, repeats,
-    axis=0), max_bins)`` would — byte-for-byte — in O(n_cols * max_bins)
-    instead of O(n_cols * m * repeats * log(...)).
-    """
-    sorted_cols = np.asarray(sorted_cols, dtype=float)
-    if sorted_cols.ndim != 2:
-        raise ValueError("sorted_cols must be (n_cols, m)")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    m = sorted_cols.shape[1]
-    if m == 0:
-        raise ValueError("cannot derive quantiles of an empty column")
-    n = m * repeats
-    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    # np.quantile: virtual index = (n - 1) * q; interpolate linearly
-    # between the flooring order statistic and the next one. For the
-    # repeated array, order statistic j is sorted_cols[:, j // repeats].
-    virtual = (n - 1) * quantiles
-    previous = np.floor(virtual)
-    gamma = virtual - previous
-    lo = previous.astype(np.intp) // repeats
-    hi = (previous.astype(np.intp) + 1) // repeats
-    points = _numpy_lerp(sorted_cols[:, lo], sorted_cols[:, hi], gamma)
-    edges = []
-    col_max = sorted_cols[:, -1]
-    for c in range(sorted_cols.shape[0]):
-        e = np.unique(points[c])
-        edges.append(e[e < col_max[c]])
-    return edges
-
-
 def dedup_columns(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group byte-identical columns of a 2-D array.
 
@@ -166,8 +112,8 @@ class QuantizedFeatureBlock:
     suite) and reused across every training cell that draws its rows
     from that population. The expensive part of quantile binning — the
     per-column sort — happens here exactly once;
-    :meth:`subset_edges` then derives the bin edges of any equal-count
-    subset of rows without touching the repeated design matrix.
+    :meth:`weighted_edges` then derives the bin edges of any row
+    multiplicities without touching the repeated design matrix.
     """
 
     def __init__(self, values: np.ndarray) -> None:
@@ -190,34 +136,15 @@ class QuantizedFeatureBlock:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def subset_edges(
-        self, member_mask: np.ndarray, repeats: int, max_bins: int
-    ) -> list[np.ndarray]:
-        """Bin edges for a row subset, each row repeated ``repeats`` times.
-
-        ``member_mask`` is a boolean vector over the block's rows;
-        the result is byte-identical to running :func:`fit_bin_edges`
-        on ``np.repeat(values[member_mask], repeats, axis=0)``.
-        """
-        member_mask = np.asarray(member_mask, dtype=bool)
-        if member_mask.shape != (self.n_items,):
-            raise ValueError("member_mask must have one entry per block row")
-        m = int(member_mask.sum())
-        if m == 0:
-            raise ValueError("member_mask selects no rows")
-        keep = member_mask[self.order]  # which sorted slots survive, per column
-        sub_sorted = self.sorted_values.T[keep.T].reshape(self.n_cols, m)
-        return repeated_quantile_edges(sub_sorted, repeats, max_bins)
-
     def weighted_edges(self, counts: np.ndarray, max_bins: int) -> list[np.ndarray]:
         """Bin edges when block row ``i`` appears ``counts[i]`` times.
 
         Byte-identical to ``fit_bin_edges(np.repeat(values, counts,
         axis=0), max_bins)`` without materializing the expansion. Rows
-        with count 0 are excluded entirely. This is the general form of
-        :meth:`subset_edges` for *unequal* row multiplicities — e.g. a
-        collaborative repository where each network was contributed by
-        a different number of devices.
+        with count 0 are excluded entirely. Equal counts over a row
+        subset are the evaluation protocol's case; unequal ones a
+        collaborative repository's, where each network was contributed
+        by a different number of devices.
 
         The order statistic at index ``t`` of the expanded column is
         the first sorted value whose cumulative count exceeds ``t``
@@ -225,7 +152,9 @@ class QuantizedFeatureBlock:
         equals their predecessor's, so the strict-exceed test skips
         them). ``np.quantile``'s linear interpolation between adjacent
         order statistics is then replayed exactly via
-        :func:`_numpy_lerp`.
+        :func:`_numpy_lerp`. Like ``np.quantile``, the upper order
+        statistic is clipped to the last one, which only binds when the
+        counts sum to 1.
         """
         counts = np.asarray(counts)
         if counts.shape != (self.n_items,):
@@ -245,6 +174,7 @@ class QuantizedFeatureBlock:
         prev_i = previous.astype(np.intp)
         sorted_t = self.sorted_values.T  # (n_cols, m)
         cols = np.arange(self.n_cols)
+        last = np.count_nonzero(cumw <= n - 1, axis=0)
         nq = virtual.size
         a = np.empty((self.n_cols, nq))
         b = np.empty((self.n_cols, nq))
@@ -252,16 +182,11 @@ class QuantizedFeatureBlock:
             lo = np.count_nonzero(cumw <= prev_i[k], axis=0)
             hi = np.count_nonzero(cumw <= prev_i[k] + 1, axis=0)
             a[:, k] = sorted_t[cols, lo]
-            b[:, k] = sorted_t[cols, hi]
+            b[:, k] = sorted_t[cols, np.minimum(hi, last)]
         points = _numpy_lerp(a, b, gamma[None, :])
-        last = np.count_nonzero(cumw <= n - 1, axis=0)
         col_max = sorted_t[cols, last]
         edges = []
         for c in range(self.n_cols):
             e = np.unique(points[c])
             edges.append(e[e < col_max[c]])
         return edges
-
-    def codes(self, edges: list[np.ndarray]) -> np.ndarray:
-        """Bin codes of every block row under the given edges."""
-        return apply_bin_edges(self.values, edges)

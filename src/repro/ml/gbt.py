@@ -54,10 +54,6 @@ __all__ = ["GradientBoostedTrees"]
 
 _MAX_BINS_LIMIT = 255  # codes are stored as uint8
 
-# Seed-era private names; tests and callers import these from here.
-_fit_bin_edges = fit_bin_edges
-_apply_bin_edges = apply_bin_edges
-
 
 @dataclass
 class _FlatTree:

@@ -1,10 +1,11 @@
 """Tests for repro.ml.binning (quantize-once feature binning).
 
-The load-bearing contract is byte-identity: every shortcut here must
+The load-bearing contract is byte-identity: ``weighted_edges`` must
 return bit-for-bit what ``fit_bin_edges`` would on the materialized
-repeated/subsetted matrix, because the evaluation protocol's fast path
-feeds the results straight into the GBT learner and the pipeline
-promises unchanged predictions.
+repeated/subsetted matrix, because the pair-level fit
+(``repro.core.cost_model.fit_pairs``) feeds its edges straight into the
+GBT learner for every evaluation cell, collaborative checkpoint and
+shard, and the pipeline promises unchanged predictions.
 """
 
 import numpy as np
@@ -12,10 +13,8 @@ import pytest
 
 from repro.ml.binning import (
     QuantizedFeatureBlock,
-    apply_bin_edges,
     dedup_columns,
     fit_bin_edges,
-    repeated_quantile_edges,
 )
 
 
@@ -39,38 +38,36 @@ def _block_values(rng, n_rows, n_cols):
 
 
 class TestRepeatedQuantileEdges:
+    """Equal multiplicities: every block row repeated ``k`` times, as
+    each target network is once per training device in the evaluation
+    protocol on a complete dataset."""
+
     @pytest.mark.parametrize("repeats", [1, 2, 5, 24])
     @pytest.mark.parametrize("max_bins", [4, 64, 256])
     def test_matches_materialized_repeat(self, repeats, max_bins):
         rng = np.random.default_rng(0)
         vals = _block_values(rng, 17, 8)
-        sorted_cols = np.sort(vals.T, axis=1)
-        fast = repeated_quantile_edges(sorted_cols, repeats, max_bins)
+        counts = np.full(17, repeats)
+        fast = QuantizedFeatureBlock(vals).weighted_edges(counts, max_bins)
         ref = fit_bin_edges(np.repeat(vals, repeats, axis=0), max_bins)
         _edges_equal(fast, ref)
 
     def test_single_row(self):
         vals = np.array([[3.0, -1.0]])
-        fast = repeated_quantile_edges(np.sort(vals.T, axis=1), 4, 16)
+        fast = QuantizedFeatureBlock(vals).weighted_edges(np.array([4]), 16)
         _edges_equal(fast, fit_bin_edges(np.repeat(vals, 4, axis=0), 16))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="repeats"):
-            repeated_quantile_edges(np.ones((2, 3)), 0, 16)
-        with pytest.raises(ValueError, match="2-D|\\(n_cols, m\\)"):
-            repeated_quantile_edges(np.ones(3), 2, 16)
-        with pytest.raises(ValueError, match="empty"):
-            repeated_quantile_edges(np.ones((2, 0)), 2, 16)
 
 
 class TestQuantizedFeatureBlock:
     @pytest.mark.parametrize("repeats", [1, 3, 11])
     def test_subset_edges_matches_fit(self, repeats):
+        """A row subset repeated ``k`` times, zero elsewhere: the
+        protocol's target networks inside the whole suite block."""
         rng = np.random.default_rng(1)
         vals = _block_values(rng, 25, 9)
         block = QuantizedFeatureBlock(vals)
         mask = rng.random(25) > 0.4
-        fast = block.subset_edges(mask, repeats, 64)
+        fast = block.weighted_edges(mask.astype(np.int64) * repeats, 64)
         ref = fit_bin_edges(np.repeat(vals[mask], repeats, axis=0), 64)
         _edges_equal(fast, ref)
 
@@ -88,15 +85,18 @@ class TestQuantizedFeatureBlock:
             ref = fit_bin_edges(np.repeat(vals, counts, axis=0), max_bins)
             _edges_equal(fast, ref)
 
-    def test_weighted_edges_equals_subset_edges_on_uniform_counts(self):
-        rng = np.random.default_rng(3)
-        vals = _block_values(rng, 20, 7)
-        block = QuantizedFeatureBlock(vals)
-        mask = rng.random(20) > 0.5
-        _edges_equal(
-            block.weighted_edges(mask.astype(np.int64) * 6, 32),
-            block.subset_edges(mask, 6, 32),
-        )
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_counts_summing_to_one(self, row):
+        # One counted row (zero-count rows around it): np.quantile
+        # clips the upper order statistic to the only one there is.
+        rng = np.random.default_rng(5)
+        vals = _block_values(rng, 7, 5)
+        counts = np.zeros(7, dtype=np.int64)
+        counts[row] = 1
+        fast = QuantizedFeatureBlock(vals).weighted_edges(counts, 64)
+        ref = fit_bin_edges(vals[row : row + 1], 64)
+        _edges_equal(fast, ref)
+        assert all(e.size == 0 for e in fast)
 
     def test_zero_count_rows_fully_excluded(self):
         # A huge outlier with count 0 must not influence any edge.
@@ -107,19 +107,8 @@ class TestQuantizedFeatureBlock:
         _edges_equal(fast, ref)
         assert all(np.all(e < 4.0) for e in fast)
 
-    def test_codes_match_apply(self):
-        rng = np.random.default_rng(4)
-        vals = _block_values(rng, 15, 6)
-        block = QuantizedFeatureBlock(vals)
-        edges = block.subset_edges(np.ones(15, dtype=bool), 2, 16)
-        assert np.array_equal(block.codes(edges), apply_bin_edges(vals, edges))
-
     def test_rejects_bad_inputs(self):
         block = QuantizedFeatureBlock(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="one entry per block row"):
-            block.subset_edges(np.ones(3, dtype=bool), 2, 16)
-        with pytest.raises(ValueError, match="selects no rows"):
-            block.subset_edges(np.zeros(4, dtype=bool), 2, 16)
         with pytest.raises(ValueError, match="one entry per block row"):
             block.weighted_edges(np.ones(3, dtype=np.int64), 16)
         with pytest.raises(ValueError, match="integer"):

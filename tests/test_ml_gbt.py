@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.gbt import GradientBoostedTrees, _apply_bin_edges, _fit_bin_edges
+from repro.ml.binning import apply_bin_edges, fit_bin_edges
+from repro.ml.gbt import GradientBoostedTrees
 from repro.ml.metrics import r2_score
 
 
@@ -24,21 +25,21 @@ def _friedman(n, seed=0):
 class TestBinning:
     def test_codes_monotone_in_value(self):
         X = np.linspace(0, 1, 100).reshape(-1, 1)
-        edges = _fit_bin_edges(X, 8)
-        codes = _apply_bin_edges(X, edges)
+        edges = fit_bin_edges(X, 8)
+        codes = apply_bin_edges(X, edges)
         assert np.all(np.diff(codes[:, 0].astype(int)) >= 0)
         assert codes.max() <= 7
 
     def test_constant_column_single_bin(self):
         X = np.ones((50, 1))
-        edges = _fit_bin_edges(X, 16)
-        codes = _apply_bin_edges(X, edges)
+        edges = fit_bin_edges(X, 16)
+        codes = apply_bin_edges(X, edges)
         assert np.all(codes == 0)
 
     def test_few_distinct_values_few_bins(self):
         X = np.repeat([[0.0], [1.0], [2.0]], 20, axis=0)
-        edges = _fit_bin_edges(X, 64)
-        codes = _apply_bin_edges(X, edges)
+        edges = fit_bin_edges(X, 64)
+        codes = apply_bin_edges(X, edges)
         assert len(np.unique(codes)) == 3
 
 
@@ -161,8 +162,8 @@ class TestQuantizeOncePaths:
         X, y = _friedman(600)
         Xt, _ = _friedman(200, seed=1)
         ref = GradientBoostedTrees(n_estimators=20, colsample_bytree=0.5).fit(X, y)
-        edges = _fit_bin_edges(X, ref.max_bins)
-        codes = _apply_bin_edges(X, edges)
+        edges = fit_bin_edges(X, ref.max_bins)
+        codes = apply_bin_edges(X, edges)
         binned = GradientBoostedTrees(n_estimators=20, colsample_bytree=0.5)
         binned.fit_binned(codes, edges, y)
         assert np.array_equal(binned.predict(Xt), ref.predict(Xt))
@@ -181,7 +182,7 @@ class TestQuantizeOncePaths:
     def test_predict_block_matches_per_row_predict_binned(self):
         X, y = _friedman(500)
         model = GradientBoostedTrees(n_estimators=30, seed=1).fit(X, y)
-        codes = _apply_bin_edges(_friedman(max(ROW_COUNTS), seed=7)[0], model.bin_edges)
+        codes = apply_bin_edges(_friedman(max(ROW_COUNTS), seed=7)[0], model.bin_edges)
         per_row = np.concatenate([model.predict_binned(row[None, :]) for row in codes])
         for rows in ROW_COUNTS:
             block = model.predict_block(codes[:rows, :6], codes[:rows, 6:])
@@ -191,7 +192,7 @@ class TestQuantizeOncePaths:
         X, y = _friedman(400)
         Xt, _ = _friedman(300, seed=4)
         model = GradientBoostedTrees(n_estimators=15).fit(X, y)
-        codes = _apply_bin_edges(Xt, model.bin_edges)
+        codes = apply_bin_edges(Xt, model.bin_edges)
         assert np.array_equal(model.predict_binned(codes), model.predict(Xt))
 
     def test_bin_edges_requires_fit(self):
