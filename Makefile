@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench examples lint bench-smoke faults-smoke adversary-smoke serve-smoke chaos-smoke search-smoke e2e e2e-test perf-gate bench-gate bench-gate-update ci clean
+.PHONY: install test bench examples lint bench-smoke faults-smoke adversary-smoke serve-smoke chaos-smoke search-smoke e2e e2e-test e2e-pairs perf-gate bench-gate bench-gate-update ci clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -77,6 +77,17 @@ e2e:
 # every trace hook still resolves to a serving/search function.
 e2e-test:
 	PYTHONPATH=src python -m pytest benchmarks/e2e
+
+# A perf claim's evidence: alternating parent/change pairs of the e2e
+# benchmark (the parent exported from PARENT, the change being the
+# working tree), judged by benchmarks/e2e/compare.py. For example
+# make e2e-pairs PARENT=main WORKLOAD=serve-open.
+PARENT ?= HEAD
+WORKLOAD ?= pipeline
+PAIRS ?= 10
+SEED ?= 0
+e2e-pairs:
+	python3 scripts/e2e_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # Consolidated perf gate, exactly as CI's perf-gate job runs it: one
 # regression.py invocation over every committed BENCH_*.json baseline

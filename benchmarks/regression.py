@@ -266,7 +266,7 @@ def bench_train(scale: str) -> dict[str, float]:
 
     Times the Figure-11 signature-size sweep and the Figure-12
     collaborative-evolution loop against ``benchmarks/legacy_train.py``
-    (the seed implementation, including un-memoized selection). The
+    (the seed implementation, including its loop-based selection). The
     sweep and the default evolution mode must match the legacy outputs
     exactly — a divergence is a correctness bug, not a perf result.
     The warm-start evolution mode is an approximation; its R² parity
@@ -279,7 +279,6 @@ def bench_train(scale: str) -> dict[str, float]:
     from repro.core.collaborative import simulate_collaboration
     from repro.core.evaluation import signature_size_sweep
     from repro.core.representation import clear_suite_memo
-    from repro.core.signature import clear_selection_memos
 
     n_random, n_devices, _ = SCALES[scale]
     art = build_paper_artifacts(
@@ -303,10 +302,9 @@ def bench_train(scale: str) -> dict[str, float]:
             dataset, suite, sizes=sizes, methods=methods, rs_repeats=rs_repeats
         )
     )
-    # Cold start: the quantized sweep pays for encoder construction,
-    # suite quantization and selection statistics inside its own timing.
+    # Cold start: the quantized sweep pays for encoder construction and
+    # suite quantization inside its own timing.
     clear_suite_memo()
-    clear_selection_memos()
     table, sweep_s = _timed(
         lambda: signature_size_sweep(
             dataset,

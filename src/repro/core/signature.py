@@ -6,9 +6,9 @@ latencies represent a device:
 - **Random Sampling (RS)** — uniform sampling without replacement.
 - **Mutual Information Selection (MIS, Algorithm 1)** — greedy
   submodular maximization: repeatedly add the network that maximizes
-  the summed mutual information between the chosen set and the
-  remaining networks, treating each network's latency vector across
-  the *training* devices as samples of a random variable.
+  how well the chosen set covers the remaining networks, each covered
+  by its highest-MI member of the set, treating each network's latency
+  vector across the *training* devices as samples of a random variable.
 - **Spearman Correlation Coefficient Selection (SCCS, Algorithm 2)** —
   repeatedly pick the network with the most rank-correlation
   "coverage" (pairwise |rho| >= gamma) and drop everything it covers.
@@ -20,18 +20,12 @@ rows.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
-from repro import telemetry
 from repro.ml.metrics import _ranks
-from repro.ml.mutual_info import discretize, entropy, joint_entropy
+from repro.ml.mutual_info import mutual_information_matrix
 
 __all__ = [
-    "clear_selection_memos",
     "mutual_information_selection",
     "random_selection",
     "select_signature_set",
@@ -75,60 +69,6 @@ def _validate_matrix(latencies: np.ndarray, size: int) -> np.ndarray:
     return matrix
 
 
-# ---------------------------------------------------------------------------
-# Content-keyed memos.
-#
-# Evaluation sweeps re-run selection on the *same* training matrix for
-# every (method, size) cell, and the expensive parts — the pairwise MI
-# matrix, the MIS greedy prefix, the pairwise Spearman rho matrix — are
-# pure functions of that matrix (plus, for MIS, the integer seed of the
-# first random pick). The greedy MIS loop is strictly incremental: the
-# pick sequence for size 10 starts with the pick sequence for size 5,
-# so one cached prefix serves every smaller size and extends in place
-# for larger ones. Memoization is only applied when the caller's rng is
-# a plain integer seed: a Generator must consume its stream exactly as
-# before (callers rely on the stream position), and ``None`` is
-# entropy-seeded, so neither is cacheable.
-
-_MEMO_MAX = 8
-_memo_lock = threading.Lock()
-_mi_matrix_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_mis_prefix_memo: OrderedDict[tuple, list[int]] = OrderedDict()
-_rho_memo: OrderedDict[bytes, np.ndarray] = OrderedDict()
-
-
-def _matrix_digest(matrix: np.ndarray) -> bytes:
-    h = hashlib.sha256()
-    h.update(repr(matrix.shape).encode())
-    h.update(np.ascontiguousarray(matrix).tobytes())
-    return h.digest()
-
-
-def _memo_get(memo: OrderedDict, key):
-    with _memo_lock:
-        value = memo.get(key)
-        if value is not None:
-            memo.move_to_end(key)
-            telemetry.count("selection.memo_hits")
-        return value
-
-
-def _memo_put(memo: OrderedDict, key, value) -> None:
-    with _memo_lock:
-        memo[key] = value
-        memo.move_to_end(key)
-        while len(memo) > _MEMO_MAX:
-            memo.popitem(last=False)
-
-
-def clear_selection_memos() -> None:
-    """Drop all cached selection state (tests / memory pressure)."""
-    with _memo_lock:
-        _mi_matrix_memo.clear()
-        _mis_prefix_memo.clear()
-        _rho_memo.clear()
-
-
 def random_selection(
     latencies: np.ndarray,
     size: int,
@@ -152,80 +92,31 @@ def mutual_information_selection(
     """Greedy MI maximization (Algorithm 1).
 
     The first network is chosen randomly (as in the paper); each later
-    iteration adds the candidate maximizing the summed MI between the
-    grown set and all networks outside it.
+    iteration adds the candidate ``c`` maximizing, for ``S`` the grown
+    set ``subset + [c]``, ``sum over o outside S of max over t in S of
+    MI(t, o)``: for each outside network, the best single-network MI
+    within the set. This facility-location surrogate for set MI keeps
+    the greedy objective submodular and tractable.
+
+    The scores are exact: each is summed left to right over ascending
+    ``o`` in NumPy float64, with +0.0 standing in for the networks in
+    ``S``, and the first (lowest-index) maximum wins, so ties break as
+    a loop over ascending candidates with a strict ``>`` breaks them.
     """
     matrix = _validate_matrix(latencies, size)
     n_networks = matrix.shape[1]
-
-    digest = _matrix_digest(matrix)
-    memo_key = None
-    if isinstance(rng, (int, np.integer)):
-        memo_key = (digest, int(n_bins), int(rng))
-        prefix = _memo_get(_mis_prefix_memo, memo_key)
-        if prefix is not None and len(prefix) >= size:
-            return sorted(prefix[:size])
-
-    mi_key = (digest, int(n_bins))
-    mi = _memo_get(_mi_matrix_memo, mi_key)
-    if mi is None:
-        mi = _pairwise_mi(matrix, n_bins)
-        _memo_put(_mi_matrix_memo, mi_key, mi)
-
-    if memo_key is not None:
-        prefix = _memo_get(_mis_prefix_memo, memo_key)
-        if prefix is None:
-            generator = np.random.default_rng(rng)
-            prefix = [int(generator.integers(n_networks))]
-        if len(prefix) < size:
-            prefix = _extend_mis_prefix(mi, list(prefix), size)
-            _memo_put(_mis_prefix_memo, memo_key, prefix)
-        return sorted(prefix[:size])
-
+    mi = mutual_information_matrix(matrix.T, n_bins=n_bins)
     generator = np.random.default_rng(rng)
     subset = [int(generator.integers(n_networks))]
-    return sorted(_extend_mis_prefix(mi, subset, size))
-
-
-def _pairwise_mi(matrix: np.ndarray, n_bins: int) -> np.ndarray:
-    """Pairwise MI matrix between network latency columns."""
-    n_networks = matrix.shape[1]
-    binned = [discretize(matrix[:, j], n_bins) for j in range(n_networks)]
-    entropies = np.array([entropy(b) for b in binned])
-    mi = np.zeros((n_networks, n_networks))
-    for i in range(n_networks):
-        mi[i, i] = entropies[i]
-        for j in range(i + 1, n_networks):
-            value = max(entropies[i] + entropies[j] - joint_entropy(binned[i], binned[j]), 0.0)
-            mi[i, j] = mi[j, i] = value
-    return mi
-
-
-def _extend_mis_prefix(mi: np.ndarray, subset: list[int], size: int) -> list[int]:
-    """Grow a greedy MIS pick sequence in place to ``size`` picks.
-
-    The greedy objective only depends on the MI matrix and the current
-    subset, never on the rng, so continuing a shorter cached prefix
-    yields exactly the picks a from-scratch run would make.
-    """
-    n_networks = mi.shape[0]
     while len(subset) < size:
-        remaining = [j for j in range(n_networks) if j not in subset]
-        best_candidate = -1
-        best_score = -np.inf
-        for candidate in remaining:
-            trial = subset + [candidate]
-            outside = [j for j in range(n_networks) if j not in trial]
-            # Information the grown set carries about the rest: for each
-            # outside network, the best single-network MI within the set
-            # (a standard facility-location surrogate for set MI, which
-            # keeps the greedy objective submodular and tractable).
-            score = float(sum(max(mi[t, o] for t in trial) for o in outside))
-            if score > best_score:
-                best_score = score
-                best_candidate = candidate
-        subset.append(best_candidate)
-    return subset
+        candidates = np.setdiff1d(np.arange(n_networks), subset)
+        cover = mi[subset].max(axis=0)
+        gains = np.maximum(cover, mi[candidates])
+        gains[:, subset] = 0.0
+        gains[np.arange(len(candidates)), candidates] = 0.0
+        scores = np.cumsum(gains, axis=1)[:, -1]
+        subset.append(int(candidates[np.argmax(scores)]))
+    return sorted(subset)
 
 
 def spearman_correlation_matrix(latencies: np.ndarray) -> np.ndarray:
@@ -238,10 +129,6 @@ def spearman_correlation_matrix(latencies: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("latencies must be (n_devices, n_networks)")
     matrix = _mask_missing_rows(matrix)
-    key = _matrix_digest(matrix)
-    cached = _memo_get(_rho_memo, key)
-    if cached is not None:
-        return cached.copy()
     n = matrix.shape[1]
     if matrix.shape[0] == 0:
         rho = np.eye(n)
@@ -261,7 +148,6 @@ def spearman_correlation_matrix(latencies: np.ndarray) -> np.ndarray:
         np.divide(centered.T @ centered, denom, out=rho, where=denom > 0.0)
         np.clip(rho, -1.0, 1.0, out=rho)
         np.fill_diagonal(rho, 1.0)
-    _memo_put(_rho_memo, key, rho.copy())
     return rho
 
 

@@ -166,23 +166,27 @@ class QuantizedFeatureBlock:
         n = int(counts.sum())
         if n == 0:
             raise ValueError("counts select no rows")
-        cumw = np.cumsum(counts[self.order], axis=0)  # (m, n_cols)
         quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
         virtual = (n - 1) * quantiles
         previous = np.floor(virtual)
         gamma = virtual - previous
         prev_i = previous.astype(np.intp)
-        sorted_t = self.sorted_values.T  # (n_cols, m)
-        cols = np.arange(self.n_cols)
-        last = np.count_nonzero(cumw <= n - 1, axis=0)
         nq = virtual.size
-        a = np.empty((self.n_cols, nq))
-        b = np.empty((self.n_cols, nq))
-        for k in range(nq):
-            lo = np.count_nonzero(cumw <= prev_i[k], axis=0)
-            hi = np.count_nonzero(cumw <= prev_i[k] + 1, axis=0)
-            a[:, k] = sorted_t[cols, lo]
-            b[:, k] = sorted_t[cols, np.minimum(hi, last)]
+        # Every column's cumulative counts are non-decreasing in [0, n],
+        # so count_nonzero(cumw[:, c] <= t) is a right-side searchsorted.
+        # Shifting column c by c * (n + 1) keeps the column-major
+        # flattening sorted, and one searchsorted answers every
+        # (column, threshold) query.
+        cols = np.arange(self.n_cols)
+        shift = cols * (n + 1)
+        cumw = np.cumsum(counts[self.order], axis=0).T + shift[:, None]  # (n_cols, m)
+        thresholds = np.concatenate([prev_i, prev_i + 1, [n - 1]])
+        rank = np.searchsorted(cumw.ravel(), shift[:, None] + thresholds, side="right")
+        rank -= (cols * self.n_items)[:, None]
+        lo, hi, last = rank[:, :nq], rank[:, nq:-1], rank[:, -1]
+        sorted_t = self.sorted_values.T  # (n_cols, m)
+        a = sorted_t[cols[:, None], lo]
+        b = sorted_t[cols[:, None], np.minimum(hi, last[:, None])]
         points = _numpy_lerp(a, b, gamma[None, :])
         col_max = sorted_t[cols, last]
         edges = []

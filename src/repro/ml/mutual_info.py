@@ -6,6 +6,22 @@ latency vector (across training devices) and the latency vectors of the
 remaining networks. Latencies are continuous, so we estimate MI by
 discretizing each variable into equal-frequency (quantile) bins, which
 is robust to the heavy-tailed latency distributions the paper observes.
+
+:func:`discretize`, :func:`entropy` and :func:`joint_entropy` are the
+scalar estimators. :func:`mutual_information_matrix` is the pairwise
+kernel behind MIS, and it reproduces the scalar path byte for byte:
+
+- joint counts of every pair come from one one-hot matmul per row
+  block; the counts are integers, so they are exact in any BLAS order;
+- each pair's joint entropy sums ``p * log(p)`` over its occupied cells
+  in ``(u, v)`` order, the order ``np.unique`` gives in
+  :func:`joint_entropy`;
+- pairs are grouped by their number of occupied cells, so every row
+  reduction is the same pairwise sum ``entropy()`` runs on one pair.
+
+A reduction over a padded ``(bins, bins)`` count tensor would sum in a
+different order and differ in the last bits, which flips the
+tie-sensitive greedy's picks.
 """
 
 from __future__ import annotations
@@ -19,6 +35,10 @@ __all__ = [
     "mutual_information",
     "mutual_information_matrix",
 ]
+
+# Float64 count cells per row block of the pairwise joint-count matrix
+# (8 MiB), so memory stays bounded however many variables there are.
+_BLOCK_CELLS = 1 << 20
 
 
 def discretize(values: np.ndarray, n_bins: int = 8) -> np.ndarray:
@@ -70,18 +90,54 @@ def mutual_information_matrix(data: np.ndarray, *, n_bins: int = 8) -> np.ndarra
     """Pairwise MI between the rows of ``data``.
 
     ``data`` is (n_variables, n_samples) — in the paper's usage, one row
-    per network, one column per training device.
+    per network, one column per training device. For ``i < j``, entry
+    ``[i, j]`` equals ``mutual_information(data[i], data[j],
+    n_bins=n_bins)`` byte for byte and ``[j, i]`` mirrors it; the
+    diagonal holds each row's binned entropy.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("data must be 2-D")
-    n = data.shape[0]
+    n, n_samples = data.shape
     binned = np.stack([discretize(data[i], n_bins) for i in range(n)])
     entropies = np.array([entropy(binned[i]) for i in range(n)])
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, i] = entropies[i]
-        for j in range(i + 1, n):
-            mi = entropies[i] + entropies[j] - joint_entropy(binned[i], binned[j])
-            out[i, j] = out[j, i] = max(mi, 0.0)
+    out = np.diag(entropies)
+    onehot = np.zeros((n, n_bins, n_samples))
+    onehot[np.arange(n)[:, None], binned, np.arange(n_samples)] = 1.0
+    onehot = onehot.reshape(n * n_bins, n_samples)
+    cells = n_bins * n_bins
+    start = 0
+    while start < n - 1:
+        width = n - start - 1
+        stop = min(n - 1, start + max(1, _BLOCK_CELLS // (cells * width)))
+        # Rows start..stop-1 against columns start+1..n-1: counts[a, :, b, :]
+        # is the (u, v) joint histogram of variables start+a and start+1+b.
+        counts = onehot[start * n_bins:stop * n_bins] @ onehot[(start + 1) * n_bins:].T
+        counts = counts.reshape(stop - start, n_bins, width, n_bins)
+        a, b = np.nonzero(np.arange(width) >= np.arange(stop - start)[:, None])
+        pairs = counts.transpose(0, 2, 1, 3)[a, b].reshape(-1, cells)
+        i, j = a + start, b + start + 1
+        mi = np.maximum(entropies[i] + entropies[j] - _occupied_entropies(pairs, n_samples), 0.0)
+        out[i, j] = mi
+        out[j, i] = mi
+        start = stop
+    return out
+
+
+def _occupied_entropies(counts: np.ndarray, n_samples: int) -> np.ndarray:
+    """``entropy()`` of each row's nonzero counts, with its exact sum.
+
+    Rows with the same number of occupied cells are gathered into one
+    ``(rows, width)`` array in ``(u, v)`` order, so each row reduction
+    is the pairwise sum ``entropy()`` runs on that pair's 1-D array.
+    """
+    occupied = counts > 0
+    width = occupied.sum(axis=1)
+    p = counts[occupied] / n_samples
+    terms = p * np.log(p)
+    first = np.cumsum(width) - width
+    out = np.empty(len(counts))
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        out[rows] = -terms[first[rows, None] + np.arange(w)].sum(axis=1)
     return out

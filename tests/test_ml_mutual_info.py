@@ -117,3 +117,70 @@ class TestMutualInformationMatrix:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             mutual_information_matrix(np.ones(5))
+
+
+def _kernel_cases():
+    """Rows with 5-300 samples: constant, duplicated, monotone-copied and
+    tied rows next to continuous ones, so pair histograms occupy from 1
+    to over 128 cells (both sides of NumPy's 8- and 128-element pairwise
+    summation blocks)."""
+    rng = np.random.default_rng(20)
+    for n_samples in (5, 9, 40, 105, 300):
+        data = rng.lognormal(size=(10, n_samples))
+        data[1] = data[0]
+        data[2] = np.exp(data[0])
+        data[3] = 4.0
+        data[6] = -1.0
+        data[4] = np.round(data[4])
+        data[5] = rng.integers(0, 3, size=n_samples)
+        yield n_samples, data
+
+
+class TestMutualInformationMatrixExactness:
+    """The vectorized kernel reproduces the scalar estimators byte for
+    byte: any change to its per-pair summation order breaks this."""
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 8, 16])
+    def test_matches_scalar_path_byte_for_byte(self, n_bins):
+        widths = set()
+        for _, data in _kernel_cases():
+            mi = mutual_information_matrix(data, n_bins=n_bins)
+            binned = [discretize(row, n_bins) for row in data]
+            assert mi.tobytes() == mi.T.tobytes()
+            for i in range(len(data)):
+                assert mi[i, i].tobytes() == np.float64(entropy(binned[i])).tobytes()
+                # The scalar joint entropy sums in (row i, row j) cell
+                # order, so the upper triangle is the reference; the
+                # lower one mirrors it, as the pairwise loop did.
+                for j in range(i + 1, len(data)):
+                    want = mutual_information(data[i], data[j], n_bins=n_bins)
+                    assert mi[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
+                    widths.add(len(np.unique(binned[i] * n_bins + binned[j])))
+        assert min(widths) == 1
+        assert max(widths) >= {2: 4, 3: 9, 8: 33, 16: 129}[n_bins]
+
+    def test_matches_scalar_path_across_row_blocks(self, monkeypatch):
+        import repro.ml.mutual_info as mutual_info
+
+        _, data = list(_kernel_cases())[3]
+        whole = mutual_information_matrix(data)
+        monkeypatch.setattr(mutual_info, "_BLOCK_CELLS", 1)  # one row per block
+        assert mutual_information_matrix(data).tobytes() == whole.tobytes()
+
+    def test_single_row_and_constant_rows(self):
+        assert mutual_information_matrix(np.ones((1, 7))).tolist() == [[0.0]]
+        mi = mutual_information_matrix(np.full((3, 6), 2.5))
+        assert np.all(mi == 0.0)
+
+    def test_memory_stays_bounded(self):
+        import tracemalloc
+
+        data = np.random.default_rng(21).lognormal(size=(500, 105))
+        tracemalloc.start()
+        try:
+            mutual_information_matrix(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An unblocked (n_networks * n_bins)^2 count matrix alone is 128 MB.
+        assert peak < 64 * 2**20
