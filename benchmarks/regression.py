@@ -718,9 +718,10 @@ def bench_search(scale: str) -> dict[str, float]:
     Publishes a collaborative checkpoint, builds one generation of
     seeded mutation-chain candidates (the evolutionary-search workload:
     each child differs from its parent by one depth/width/kernel move),
-    and answers it twice: through ``BulkQueryPlane.predict_block`` with
-    parent hints (one quantize-once ``predict_binned`` call for the
-    whole generation), and through a degenerate ``max_batch=1`` service
+    and answers it twice: through ``BulkQueryPlane.predict_block`` (one
+    quantize-once ``predict_binned`` call for the whole generation, each
+    distinct layer encoded once through the plane's layer-row memo), and
+    through a degenerate ``max_batch=1`` service
     where every candidate pays a full from-scratch encode plus per-call
     flush overhead. Byte-identity between the two answer vectors is a
     hard invariant (raise, not gate). The gated metric is the bulk
@@ -730,7 +731,6 @@ def bench_search(scale: str) -> dict[str, float]:
     its wall time is machine-dependent).
     """
     from repro.core.collaborative import CollaborativeRepository
-    from repro.core.representation import network_content_hash
     from repro.search import EvolutionSpace, SearchConfig, mutate, random_genotype, run_search
     from repro.serve import BulkQueryPlane, ModelRegistry, PredictionService, PredictRequest
 
@@ -750,21 +750,18 @@ def bench_search(scale: str) -> dict[str, float]:
         repo.join(device, 0.5)
 
     # One generation as seeded mutation chains: 25-candidate lineages
-    # whose children reuse parent layer rows via parent hints — the
-    # exact shape run_search() hands the plane every generation.
+    # whose children share most layers with their parents — the shape
+    # run_search() hands the plane every generation.
     space = EvolutionSpace()
     rng = np.random.default_rng(0)
-    candidates, parents = [], []
-    genotype, parent_hash = None, None
+    candidates = []
+    genotype = None
     for i in range(population):
         if i % 25 == 0:
-            genotype, parent_hash = random_genotype(space, rng), None
+            genotype = random_genotype(space, rng)
         else:
             genotype, _ = mutate(genotype, space, rng)
-        network = genotype.to_network(space, f"gen-{i}")
-        candidates.append(network)
-        parents.append(parent_hash)
-        parent_hash = network_content_hash(network)
+        candidates.append(genotype.to_network(space, f"gen-{i}"))
 
     device = art.dataset.device_names[0]
     with tempfile.TemporaryDirectory(prefix="bench-search-") as registry_dir:
@@ -792,9 +789,7 @@ def bench_search(scale: str) -> dict[str, float]:
         ) as service:
             plane = BulkQueryPlane(service)
             bulk_responses, bulk_s = _best_of(
-                lambda: plane.predict_block(
-                    candidates, device, parent_hashes=parents
-                ),
+                lambda: plane.predict_block(candidates, device),
                 _BENCH_REPEATS,
                 inflate=True,
             )
@@ -816,9 +811,7 @@ def bench_search(scale: str) -> dict[str, float]:
                 # noise on shared runners); best-of semantics persist.
                 fresh = BulkQueryPlane(service)
                 retry, retry_bulk_s = _best_of(
-                    lambda: fresh.predict_block(
-                        candidates, device, parent_hashes=parents
-                    ),
+                    lambda: fresh.predict_block(candidates, device),
                     _BENCH_REPEATS,
                     inflate=True,
                 )

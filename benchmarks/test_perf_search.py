@@ -1,17 +1,17 @@
 """Search-plane benchmark: bulk generation queries vs per-request path.
 
 Publishes a paper-scale collaborative checkpoint and answers one
-1000-candidate evolutionary generation (seeded mutation chains with
-parent hints — the exact workload ``run_search`` hands the plane every
-generation) two ways: through :class:`repro.serve.bulk.BulkQueryPlane`
-(one quantize-once ``predict_binned`` call for the whole generation)
-and through a degenerate ``max_batch=1`` service where every candidate
-pays a full from-scratch encode plus per-call flush overhead.
+1000-candidate evolutionary generation (seeded mutation chains, the
+shape of the generations ``run_search`` hands the plane) two ways:
+through :class:`repro.serve.bulk.BulkQueryPlane` (one quantize-once
+``predict_binned`` call for the whole generation) and through a
+degenerate ``max_batch=1`` service where every candidate pays a full
+from-scratch encode plus per-call flush overhead.
 
 Before any speedup is reported the byte-identity contract is asserted:
 the bulk plane must produce predictions identical to the per-request
-path, because the plane's caches, dedup, and incremental re-encoding
-only change *work*, never results. A divergence is a correctness bug,
+path, because the plane's caches, dedup, and layer-row memo only
+change *work*, never results. A divergence is a correctness bug,
 not a perf result.
 
 The measured ratio is asserted against a hard ``MIN_BULK_SPEEDUP``
@@ -30,7 +30,6 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.core.collaborative import CollaborativeRepository
-from repro.core.representation import network_content_hash
 from repro.search import EvolutionSpace, SearchConfig, mutate, random_genotype, run_search
 from repro.serve import BulkQueryPlane, ModelRegistry, PredictRequest, PredictionService
 
@@ -58,25 +57,23 @@ def _published_registry(artifacts, registry_dir):
 
 
 def _generation(population):
-    """Seeded mutation-chain candidates plus their parent hints."""
+    """Seeded mutation-chain candidates: 25-candidate lineages whose
+    children share most layers with their parents."""
     space = EvolutionSpace()
     rng = np.random.default_rng(0)
-    candidates, parents = [], []
-    genotype, parent_hash = None, None
+    candidates = []
+    genotype = None
     for i in range(population):
         if i % 25 == 0:
-            genotype, parent_hash = random_genotype(space, rng), None
+            genotype = random_genotype(space, rng)
         else:
             genotype, _ = mutate(genotype, space, rng)
-        network = genotype.to_network(space, f"gen-{i}")
-        candidates.append(network)
-        parents.append(parent_hash)
-        parent_hash = network_content_hash(network)
-    return candidates, parents
+        candidates.append(genotype.to_network(space, f"gen-{i}"))
+    return candidates
 
 
 def test_perf_search_bulk_plane(benchmark, artifacts, report):
-    candidates, parents = _generation(_POPULATION)
+    candidates = _generation(_POPULATION)
     with tempfile.TemporaryDirectory(prefix="perf-search-") as registry_dir:
         _, registry = _published_registry(artifacts, registry_dir)
         device = artifacts.dataset.device_names[0]
@@ -107,9 +104,7 @@ def test_perf_search_bulk_plane(benchmark, artifacts, report):
             ) as service:
                 plane = BulkQueryPlane(service)
                 start = time.perf_counter()
-                bulk_responses = plane.predict_block(
-                    candidates, device, parent_hashes=parents
-                )
+                bulk_responses = plane.predict_block(candidates, device)
                 timings["bulk generation"] = time.perf_counter() - start
                 stats = dict(plane.stats)
             return timings, sample_responses, bulk_responses, stats

@@ -12,8 +12,10 @@ end to end:
 2. bulk-plane predictions are byte-identical to the per-request
    definition path (``max_batch=1``, full encode per request);
 3. the plane's caches actually engage (dedup or prediction hits > 0
-   across generations) and their effectiveness shows up in the
-   telemetry summary (``serve.bulk`` and ``search`` blocks);
+   across generations, layer rows reused from the plane's memo) and
+   their effectiveness shows up in the telemetry summary
+   (``serve.bulk`` and ``search`` blocks), while a fresh plane's memo
+   starts empty: a second search encodes as many rows as the first;
 4. the CLI ``repro search`` subcommand drives the same machinery end
    to end.
 
@@ -90,10 +92,25 @@ def library_smoke() -> None:
                 f"same seed, same outcome across backends "
                 f"(digest {serial.digest[:12]})",
             )
-            rerun = run_search(BulkQueryPlane(service), device, config)
+            # Two searches, each on a fresh plane: the layer-row memo
+            # belongs to the plane, so the second must encode exactly as
+            # many rows as the first (a process-wide memo would hand it
+            # the first search's rows).
+            computed = []
+            for _ in range(2):
+                before = telemetry.registry().counter_value("encode.rows_computed")
+                rerun = run_search(BulkQueryPlane(service), device, config)
+                computed.append(
+                    telemetry.registry().counter_value("encode.rows_computed") - before
+                )
+                check(
+                    rerun.digest == serial.digest,
+                    "serial rerun reproduces the winner digest bit-for-bit",
+                )
             check(
-                rerun.digest == serial.digest,
-                "serial rerun reproduces the winner digest bit-for-bit",
+                computed[0] > 0 and computed[0] == computed[1],
+                f"a fresh plane starts with an empty layer-row memo "
+                f"({computed[0]} and {computed[1]} rows encoded)",
             )
             other = run_search(
                 BulkQueryPlane(service),
@@ -195,6 +212,11 @@ def main() -> int:
         bulk["dedup_ratio"] > 0.0 or bulk["encoding_hit_ratio"] > 0.0,
         f"cache effectiveness surfaced (dedup {bulk['dedup_ratio']:.2f}, "
         f"encoder hits {bulk['encoding_hit_ratio']:.2f})",
+    )
+    check(
+        bulk["encoding_rows_reused"] > 0,
+        f"the layer-row memo engaged ({bulk['encoding_rows_reused']} rows "
+        f"reused, {bulk['encoding_rows_computed']} encoded)",
     )
     print(f"telemetry report: {out}")
     print(f"bulk summary: {bulk}")

@@ -32,7 +32,6 @@ from repro.nnir.graph import Network
 from repro.nnir.ops import OP_KINDS, PARAM_SLOTS
 
 __all__ = [
-    "EncodedNetwork",
     "EncodedSuite",
     "NetworkEncoder",
     "SignatureHardwareEncoder",
@@ -54,8 +53,8 @@ def _encode_one_layer(layer, in_shapes, out_shape) -> np.ndarray:
     """One layer's feature row: operator one-hot + params + in/out sizes.
 
     Depends only on ``(layer.op, in_shapes)`` — ``out_shape`` is derived
-    from them by shape inference — which is what makes row-level reuse
-    (:meth:`NetworkEncoder.encode_network`) byte-safe.
+    from them by shape inference — which is what makes the row memo of
+    :meth:`NetworkEncoder.encode_network` byte-safe.
     """
     one_hot = np.zeros(len(OP_KINDS))
     one_hot[_KIND_INDEX[layer.op.kind]] = 1.0
@@ -87,16 +86,6 @@ def _encode_layers(network: Network) -> np.ndarray:
     )
 
 
-def _layer_key(layer, in_shapes) -> tuple[str, tuple[str, ...]]:
-    """Structural identity of one layer's encoding row.
-
-    Two layers with equal keys encode to byte-identical rows: the row
-    is a pure function of the operator (frozen dataclass, so its repr
-    carries every parameter) and the input shapes.
-    """
-    return (repr(layer.op), tuple(repr(s) for s in in_shapes))
-
-
 def network_content_hash(network: Network) -> str:
     """Name-independent SHA-256 of a network's structure.
 
@@ -111,26 +100,6 @@ def network_content_hash(network: Network) -> str:
         h.update(repr(layer.op).encode())
         h.update(repr(layer.inputs).encode())
     return h.hexdigest()
-
-
-@dataclass(frozen=True, eq=False)
-class EncodedNetwork:
-    """One network's encoding with per-layer provenance for row reuse.
-
-    ``rows`` is the unpadded ``(n_layers, _LAYER_WIDTH)`` matrix,
-    ``flat`` the zero-padded fixed-width vector :meth:`NetworkEncoder.
-    encode` would return (both read-only), and ``keys`` the per-layer
-    structural identities that let a child network copy every unchanged
-    parent row instead of recomputing it.
-    """
-
-    keys: tuple[tuple[str, tuple[str, ...]], ...]
-    rows: np.ndarray
-    flat: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.rows.nbytes + self.flat.nbytes)
 
 
 class NetworkEncoder:
@@ -164,43 +133,38 @@ class NetworkEncoder:
         """Encode a sequence of networks into a matrix."""
         return np.stack([self.encode(n) for n in networks])
 
-    def encode_network(
-        self, network: Network, parent: EncodedNetwork | None = None
-    ) -> EncodedNetwork:
-        """Encode with per-layer reuse against a parent encoding.
+    def encode_network(self, network: Network, rows: dict[tuple, np.ndarray]) -> np.ndarray:
+        """:meth:`encode`, taking each layer's row from the memo ``rows``.
 
-        A search mutation touches a few layers; every downstream layer
-        whose (operator, input shapes) are unchanged still encodes to
-        the exact same row, so those rows are *copied* from ``parent``
-        (position-matched by structural key) instead of recomputed.
-        The result is byte-identical to a from-scratch :meth:`encode` —
-        reuse is an optimization, never an approximation.
+        ``rows`` is caller-owned and maps ``(layer.op, in_shapes)`` to
+        that layer's feature row; a layer missing from it is encoded and
+        stored. Ops and shapes are frozen dataclasses, so equal keys mean
+        the same operator class with equal fields, and a row depends on
+        nothing else (:func:`_encode_one_layer`): the result is
+        byte-identical to :meth:`encode`, and read-only.
         """
         if network.n_layers > self.max_layers:
             raise ValueError(
                 f"network {network.name!r} has {network.n_layers} layers; "
                 f"encoder was sized for at most {self.max_layers}"
             )
-        rows = np.empty((network.n_layers, _LAYER_WIDTH))
-        keys: list[tuple[str, tuple[str, ...]]] = []
-        reused = computed = 0
-        for i, (layer, in_shapes, out_shape) in enumerate(network.walk()):
-            key = _layer_key(layer, in_shapes)
-            keys.append(key)
-            if parent is not None and i < len(parent.keys) and parent.keys[i] == key:
-                rows[i] = parent.rows[i]
-                reused += 1
-            else:
-                rows[i] = _encode_one_layer(layer, in_shapes, out_shape)
+        layer_rows = []
+        computed = 0
+        for layer, in_shapes, out_shape in network.walk():
+            key = (layer.op, in_shapes)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _encode_one_layer(layer, in_shapes, out_shape)
                 computed += 1
+            layer_rows.append(row)
+        reused = len(layer_rows) - computed
         if reused:
             telemetry.count("encode.rows_reused", reused)
         telemetry.count("encode.rows_computed", computed)
         flat = np.zeros(self.width)
-        flat[: rows.size] = rows.ravel()
-        rows.setflags(write=False)
+        np.concatenate(layer_rows, out=flat[: len(layer_rows) * _LAYER_WIDTH])
         flat.setflags(write=False)
-        return EncodedNetwork(keys=tuple(keys), rows=rows, flat=flat)
+        return flat
 
     def encode_sequence(self, network: Network) -> tuple[np.ndarray, np.ndarray]:
         """Per-layer sequence form: (max_layers, layer_width) + validity mask.

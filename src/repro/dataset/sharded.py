@@ -425,10 +425,6 @@ class ShardedLatencyDataset:
             self._cache_bytes -= evicted.latencies_ms.nbytes
             telemetry.count("sharded.shard_evict")
 
-    def iter_shards(self) -> Iterator[tuple[str, LatencyDataset]]:
-        for cluster in self.clusters():
-            yield cluster, self.shard(cluster)
-
     # -- fleet-wide accounting (streaming) -----------------------------
 
     def device_completeness(self) -> dict[str, float]:

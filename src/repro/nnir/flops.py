@@ -49,13 +49,28 @@ class NetworkWork:
         return self.params + self.activation_bytes
 
 
-def network_work(network: Network) -> NetworkWork:
-    """Compute the full work profile of ``network``."""
+def network_work(network: Network, layers: dict[tuple, tuple] | None = None) -> NetworkWork:
+    """Compute the full work profile of ``network``.
+
+    ``layers`` is an optional caller-owned memo mapping ``(layer.op,
+    in_shapes)`` to that layer's ``(primitives, param_count)``. A layer
+    found there is not lowered again; a layer missing from it is lowered
+    and stored. Ops and shapes are frozen dataclasses, so equal keys mean
+    the same operator class with equal fields, and the same work. The
+    totals are summed over the primitives in execution order either way,
+    so a memo changes no value and no ``by_kind`` key order.
+    """
     primitives: list[PrimitiveWork] = []
     params = 0
     for layer, in_shapes, _ in network.walk():
-        primitives.extend(layer.op.primitives(in_shapes))
-        params += layer.op.param_count(in_shapes)
+        key = (layer.op, in_shapes)
+        work = None if layers is None else layers.get(key)
+        if work is None:
+            work = (tuple(layer.op.primitives(in_shapes)), layer.op.param_count(in_shapes))
+            if layers is not None:
+                layers[key] = work
+        primitives += work[0]
+        params += work[1]
 
     by_kind: dict[ComputeKind, int] = {}
     macs = 0

@@ -3,8 +3,8 @@
 :func:`run_search` evolves a population of :class:`~repro.search.space.
 Genotype` candidates under a predicted-latency budget. Each generation
 is evaluated by **one** :meth:`~repro.serve.bulk.BulkQueryPlane.
-predict_block` call (with parent hints, so mutated children re-encode
-incrementally); selection is tournament-on-fitness with elitism, and
+predict_block` call (whose layer-row memo encodes each distinct layer
+once per plane); selection is tournament-on-fitness with elitism, and
 the result carries the best feasible candidate plus the Pareto front
 over (predicted latency, accuracy proxy).
 
@@ -12,7 +12,9 @@ The accuracy proxy is a deterministic, closed-form diminishing-returns
 function of the candidate's MAC count and depth — no training in the
 loop, as in predictor-based NAS — chosen so bigger/deeper candidates
 score higher but latency grows faster, which makes the latency budget
-a real constraint and the Pareto front non-degenerate.
+a real constraint and the Pareto front non-degenerate. Its MAC count
+comes from :func:`~repro.nnir.flops.network_work` with a per-run layer
+memo, so each distinct layer is priced once per run.
 
 Determinism: all randomness comes from one ``default_rng(seed)``;
 genotype materialization runs through the ordered
@@ -196,10 +198,10 @@ def run_search(
     rng = np.random.default_rng(config.seed)
     executor = get_executor(config.backend, config.jobs)
     population = [random_genotype(space, rng) for _ in range(config.population)]
-    parents: list[str | None] = [None] * config.population
 
     evaluated: dict[str, Candidate] = {}
     proxy_memo: dict[str, float] = {}
+    layer_work: dict[tuple, tuple] = {}  # network_work's per-layer memo
     gen_stats: list[dict] = []
     counter = 0
 
@@ -213,7 +215,6 @@ def run_search(
             device,
             cluster=config.cluster,
             signature_ms=signature_ms,
-            parent_hashes=parents,
         )
         telemetry.count("search.candidates", len(population))
 
@@ -225,7 +226,9 @@ def run_search(
             content = network_content_hash(network)
             acc = proxy_memo.get(content)
             if acc is None:
-                acc = accuracy_proxy(network_work(network).macs, genotype.n_blocks)
+                acc = accuracy_proxy(
+                    network_work(network, layer_work).macs, genotype.n_blocks
+                )
                 proxy_memo[content] = acc
             candidate = Candidate(
                 genotype=genotype,
@@ -262,7 +265,6 @@ def run_search(
         # next population are tournament-selected mutated children.
         elite = ranked[0]
         next_population: list[Genotype] = [elite.genotype]
-        next_parents: list[str | None] = [elite.content_hash]
         while len(next_population) < config.population:
             picks = rng.integers(len(candidates), size=config.tournament_k)
             parent = min(
@@ -272,9 +274,7 @@ def run_search(
             child, kind = mutate(parent.genotype, space, rng)
             telemetry.count(f"search.mutation.{kind}")
             next_population.append(child)
-            next_parents.append(parent.content_hash)
         population = next_population
-        parents = next_parents
 
     all_candidates = list(evaluated.values())
     front = pareto_front(all_candidates)

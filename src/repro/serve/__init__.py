@@ -27,8 +27,9 @@ the trained model into a long-lived, in-process service:
   unknown-network misses) reporting p50/p99 latency and throughput;
 - :mod:`repro.serve.bulk` — the :class:`BulkQueryPlane`: a
   generation-at-a-time query path for architecture-search consumers
-  with content-hash dedup, an encoded-row LRU, incremental re-encoding
-  of mutated children, and one kernel call per block.
+  with content-hash dedup, an encoding LRU, a layer-row memo that
+  encodes each distinct layer once per plane, and one kernel call per
+  block.
 
 Determinism contract: a prediction depends only on the (network,
 hardware-signature, model-version) triple — never on how requests were

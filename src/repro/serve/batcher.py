@@ -369,9 +369,3 @@ class MicroBatcher(Generic[T, R]):
         for (_, future, _, _), result in zip(batch, results):
             if not future.cancelled():
                 future.set_result(result)
-
-    # -- introspection convenience --------------------------------------
-
-    def flush_counts(self) -> dict[str, int]:
-        """Flush-cause counts (``full`` / ``idle`` / ``timeout`` / ``shutdown``)."""
-        return dict(self.stats().flushes)

@@ -9,12 +9,13 @@ pay a queue round trip, a from-scratch encode and its own tiny
    :func:`~repro.core.representation.network_content_hash` (name
    independent): a duplicate inside a call is predicted once, and a
    candidate revisited later hits the prediction LRU;
-2. **encoding LRU** — encoded rows are cached per content hash under an
-   entry *and* byte budget, so survivors and elites never re-encode;
-3. **incremental re-encode** — a child's encoding starts from its
-   parent's cached rows
+2. **encoding LRU** — encoded vectors are cached per content hash under
+   an entry *and* byte budget, so survivors and elites never re-encode;
+3. **layer-row memo** — a new candidate takes each layer's feature row
+   from a memo keyed by ``(layer.op, in_shapes)``
    (:meth:`~repro.core.representation.NetworkEncoder.encode_network`),
-   byte-identical to a full encode;
+   so a layer shared with any earlier candidate is encoded once per
+   plane; the memo holds at most :data:`_MAX_LAYER_ROWS` rows;
 4. **one kernel call** — the uncached, deduplicated rows of a block are
    binned once and scored by the service's kernel
    (:meth:`~repro.serve.service.PredictionService.score`) while the block
@@ -39,7 +40,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.core.representation import EncodedNetwork, network_content_hash
+from repro.core.representation import network_content_hash
 from repro.ml.binning import apply_bin_edges
 from repro.nnir.graph import Network
 from repro.serve.registry import DEFAULT_CLUSTER
@@ -55,15 +56,20 @@ _STAT_KEYS = (
     "enc_hits", "enc_misses", "enc_evictions", "unencodable",
 )
 
+#: Bound of a plane's layer-row memo. One 8 x 256 search meets ~370
+#: distinct layers; past the bound the oldest rows are dropped first.
+_MAX_LAYER_ROWS = 1 << 14
+
 
 class BulkQueryPlane:
     """Generation-at-a-time facade over a :class:`PredictionService`.
 
     The plane reuses the service's warm-signature cache, router and
     scoring kernel, and never mutates the service. ``max_encodings`` and
-    the optional ``max_encoding_bytes`` budget the encoded-row LRU
-    (oldest evicted first); ``max_predictions`` budgets the
-    (network, model version, signature) prediction LRU.
+    the optional ``max_encoding_bytes`` budget the encoding LRU (oldest
+    evicted first); ``max_predictions`` budgets the (network, model
+    version, signature) prediction LRU. The layer-row memo belongs to
+    the plane, so it is freed with it.
     """
 
     def __init__(
@@ -82,8 +88,9 @@ class BulkQueryPlane:
         self.max_encodings = max_encodings
         self.max_encoding_bytes = max_encoding_bytes
         self.max_predictions = max_predictions
-        self._enc_lru: OrderedDict[str, EncodedNetwork] = OrderedDict()
+        self._enc_lru: OrderedDict[str, np.ndarray] = OrderedDict()
         self._enc_bytes = 0
+        self._layer_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._pred_lru: OrderedDict[tuple, float] = OrderedDict()
         self._lock = threading.Lock()
         self.stats: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
@@ -94,15 +101,12 @@ class BulkQueryPlane:
         self.stats[key] += value
         telemetry.count(f"serve.bulk.{key}", value)
 
-    def _encoding(
-        self, network: Network, content_hash: str, parent_hash: str | None
-    ) -> EncodedNetwork | None:
+    def _encoding(self, network: Network, content_hash: str) -> np.ndarray | None:
         """The cached (or freshly computed) encoding of one candidate.
 
         Returns ``None`` when the network is deeper than the suite
-        encoder (an ``unencodable`` miss, not cached). A cached parent
-        encoding — addressed by ``parent_hash`` — turns the miss into
-        an incremental re-encode of only the mutated layers.
+        encoder (an ``unencodable`` miss, not cached). A miss encodes
+        under the plane's lock, which guards the layer-row memo.
         """
         with self._lock:
             hit = self._enc_lru.get(content_hash)
@@ -110,14 +114,15 @@ class BulkQueryPlane:
                 self._enc_lru.move_to_end(content_hash)
                 self._count("enc_hits")
                 return hit
-            parent = self._enc_lru.get(parent_hash) if parent_hash else None
-        self._count("enc_misses")
-        try:
-            built = self.service.encoder.encode_network(network, parent=parent)
-        except ValueError:
-            self._count("unencodable")
-            return None
-        with self._lock:
+            self._count("enc_misses")
+            try:
+                built = self.service.encoder.encode_network(network, self._layer_rows)
+            except ValueError:
+                self._count("unencodable")
+                return None
+            finally:
+                while len(self._layer_rows) > _MAX_LAYER_ROWS:
+                    self._layer_rows.popitem(last=False)
             self._enc_lru[content_hash] = built
             self._enc_bytes += built.nbytes
             while len(self._enc_lru) > self.max_encodings or (
@@ -144,6 +149,7 @@ class BulkQueryPlane:
             return {
                 "encodings": len(self._enc_lru),
                 "encoding_bytes": self._enc_bytes,
+                "layer_rows": len(self._layer_rows),
                 "predictions": len(self._pred_lru),
             }
 
@@ -156,21 +162,18 @@ class BulkQueryPlane:
         *,
         cluster: str = DEFAULT_CLUSTER,
         signature_ms: Mapping[str, float] | None = None,
-        parent_hashes: Sequence[str | None] | None = None,
     ) -> list[PredictResponse]:
         """Predict one device's latency for a block of candidates.
 
         Returns one :class:`PredictResponse` per network, in input order,
-        equal to the byte to the per-request answer. ``parent_hashes[i]``
-        names candidate *i*'s parent so a cache miss re-encodes
-        incrementally. The block walks ``cluster``'s chain like one
-        micro-batch group: the first tier that answers serves every row,
-        cache hits included, with one kernel call over the uncached,
-        deduplicated rows; a refusing or failing tier hands the whole
-        block on, down to the static tier.
+        equal to the byte to the per-request answer. A candidate missing
+        from the encoding LRU is encoded with the plane's layer-row memo,
+        so only layers no earlier candidate had are encoded. The block
+        walks ``cluster``'s chain like one micro-batch group: the first
+        tier that answers serves every row, cache hits included, with one
+        kernel call over the uncached, deduplicated rows; a refusing or
+        failing tier hands the whole block on, down to the static tier.
         """
-        if parent_hashes is not None and len(parent_hashes) != len(networks):
-            raise ValueError("parent_hashes must align with networks")
         start = time.perf_counter()
         self._count("calls")
         self._count("requests", len(networks))
@@ -214,13 +217,11 @@ class BulkQueryPlane:
                         dups += 1
                     else:
                         first_seen[hashes[i]] = i
-            # Encode the unique misses once per call (incrementally when
-            # the parent's rows are cached); unencodable rows miss here.
+            # Encode the unique misses once per call; unencodable rows
+            # miss here.
             for content, i in first_seen.items():
                 if content not in flats:
-                    parent = parent_hashes[i] if parent_hashes is not None else None
-                    encoded = self._encoding(networks[i], content, parent)
-                    flats[content] = None if encoded is None else encoded.flat
+                    flats[content] = self._encoding(networks[i], content)
             for i in pending:
                 if i not in hits and flats[hashes[i]] is None:
                     responses[i] = service.miss(request(i), MISS_UNENCODABLE)

@@ -128,7 +128,7 @@ class TestSignatureHardwareEncoder:
 
 
 class TestIncrementalEncode:
-    """encode_network: byte-identity with encode() and parent-row reuse."""
+    """encode_network: byte-identity with encode() and row-memo reuse."""
 
     def _mutated_pairs(self):
         """(parent, child) pairs covering depth, width and kernel moves."""
@@ -165,21 +165,20 @@ class TestIncrementalEncode:
         ]
         encoder = NetworkEncoder(nets)
         for net in nets:
-            built = encoder.encode_network(net)
-            assert built.flat.tobytes() == encoder.encode(net).tobytes()
-            assert built.rows.shape == (net.n_layers, _LAYER_WIDTH)
-            assert not built.flat.flags.writeable
+            built = encoder.encode_network(net, {})
+            assert built.tobytes() == encoder.encode(net).tobytes()
+            assert built.shape == (encoder.width,)
+            assert not built.flags.writeable
 
     def test_incremental_equals_full_after_each_mutation_kind(self):
         pairs = self._mutated_pairs()
         nets = [n for pair in pairs.values() for n in pair]
         encoder = NetworkEncoder(nets)
         for kind, (parent, child) in pairs.items():
-            base = encoder.encode_network(parent)
-            incremental = encoder.encode_network(child, parent=base)
-            full = encoder.encode_network(child)
-            assert incremental.flat.tobytes() == full.flat.tobytes(), kind
-            assert incremental.rows.tobytes() == full.rows.tobytes(), kind
+            rows = {}
+            encoder.encode_network(parent, rows)
+            incremental = encoder.encode_network(child, rows)
+            assert incremental.tobytes() == encoder.encode(child).tobytes(), kind
 
     def test_incremental_actually_reuses_rows(self):
         from repro import telemetry
@@ -188,17 +187,20 @@ class TestIncrementalEncode:
         nets = [n for pair in pairs.values() for n in pair]
         encoder = NetworkEncoder(nets)
         for kind, (parent, child) in pairs.items():
-            base = encoder.encode_network(parent)
+            rows = {}
+            encoder.encode_network(parent, rows)
             with telemetry.scoped_registry() as reg:
-                encoder.encode_network(child, parent=base)
+                encoder.encode_network(child, rows)
                 reused = reg.counter_value("encode.rows_reused")
                 computed = reg.counter_value("encode.rows_computed")
             assert reused >= 2, kind  # at least the stem survives
             assert reused + computed == child.n_layers, kind
+            parent_rows = {(layer.op, shapes) for layer, shapes, _ in parent.walk()}
+            assert len(rows) == len(parent_rows) + computed
 
     def test_wrong_parent_never_corrupts(self):
-        """Reuse keys on (op, input shapes): an unrelated 'parent' only
-        donates rows that are genuinely identical."""
+        """The memo keys on (op, input shapes): rows left by an unrelated
+        network are only taken where they are genuinely identical."""
         from repro.search.space import EvolutionSpace, random_genotype
 
         space = EvolutionSpace()
@@ -206,16 +208,40 @@ class TestIncrementalEncode:
         a = random_genotype(space, rng).to_network(space, "a")
         b = random_genotype(space, rng).to_network(space, "b")
         encoder = NetworkEncoder([a, b])
-        with_wrong_parent = encoder.encode_network(
-            b, parent=encoder.encode_network(a)
-        )
-        assert with_wrong_parent.flat.tobytes() == encoder.encode(b).tobytes()
+        rows = {}
+        encoder.encode_network(a, rows)
+        with_wrong_parent = encoder.encode_network(b, rows)
+        assert with_wrong_parent.tobytes() == encoder.encode(b).tobytes()
 
     def test_too_deep_network_raises(self):
         nets = [_chain("short", 3)]
         encoder = NetworkEncoder(nets)
+        rows = {}
         with pytest.raises(ValueError, match="at most"):
-            encoder.encode_network(_chain("long", 5))
+            encoder.encode_network(_chain("long", 5), rows)
+        assert rows == {}
+
+    def test_shared_memo_matches_encode_on_zoo_random_and_search_chain(
+        self, memo_population
+    ):
+        """One row memo across every zoo network, 50 random networks, a
+        200-candidate mutation chain and two value-equal bottlenecks
+        (``use_se=0`` and ``use_se=False``) equals ``encode()`` byte for
+        byte, in both orders of the population."""
+        from repro import telemetry
+
+        encoder = NetworkEncoder(memo_population)
+        for nets in (memo_population, memo_population[::-1]):
+            rows = {}
+            with telemetry.scoped_registry() as reg:
+                for net in nets:
+                    built = encoder.encode_network(net, rows)
+                    assert built.tobytes() == encoder.encode(net).tobytes(), net.name
+                reused = reg.counter_value("encode.rows_reused")
+                computed = reg.counter_value("encode.rows_computed")
+            assert computed == len(rows)
+            assert reused + computed == sum(n.n_layers for n in nets)
+            assert reused > computed
 
 
 class TestNetworkContentHash:

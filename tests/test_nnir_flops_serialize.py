@@ -93,3 +93,38 @@ class TestSerialization:
         for net in build_zoo():
             clone = network_from_dict(network_to_dict(net))
             assert network_work(clone).macs == network_work(net).macs
+
+
+class TestLayerWorkMemo:
+    def test_shared_memo_equals_fresh_work(self, memo_population):
+        """One memo across every zoo network, 50 random networks, a
+        200-candidate mutation chain and value-equal bottlenecks gives
+        every field of the memo-free profile, in both orders of the
+        population; ``by_kind`` keeps the kinds in order of first
+        appearance over the primitives in execution order."""
+        for nets in (memo_population, memo_population[::-1]):
+            layers = {}
+            for net in nets:
+                fresh = network_work(net)
+                memo = network_work(net, layers)
+                assert memo.macs == fresh.macs, net.name
+                assert memo.params == fresh.params, net.name
+                assert memo.activation_bytes == fresh.activation_bytes, net.name
+                assert memo.primitives == fresh.primitives, net.name
+                assert list(memo.by_kind.items()) == list(fresh.by_kind.items()), net.name
+            assert len(layers) < sum(n.n_layers for n in nets)
+        for net in memo_population:
+            by_kind = {}
+            for layer, in_shapes, _ in net.walk():
+                for p in layer.op.primitives(in_shapes):
+                    by_kind[p.kind] = by_kind.get(p.kind, 0) + p.macs
+            assert list(network_work(net).by_kind.items()) == list(by_kind.items()), net.name
+
+    def test_memo_entries_are_the_layer_work(self):
+        net = _net()
+        layers = {}
+        network_work(net, layers)
+        for layer, in_shapes, _ in net.walk():
+            primitives, params = layers[(layer.op, in_shapes)]
+            assert primitives == tuple(layer.op.primitives(in_shapes))
+            assert params == layer.op.param_count(in_shapes)

@@ -1,6 +1,6 @@
 """Bulk query plane tests: byte-identity against the per-request and
 micro-batched paths, content-hash dedup within and across calls, LRU
-eviction under a tiny budget, incremental re-encode correctness after
+eviction under a tiny budget, layer-row memo reuse and its bound after
 depth/width/kernel mutations, hot-swap (refresh) freshness, and the
 shared fallback chain: a bulk block and a micro-batch of the same rows
 get the same tier, cluster, version and latency bytes in every
@@ -179,32 +179,85 @@ class TestMutationChildren:
         rng = np.random.default_rng(8)
         parent_g = random_genotype(space, rng)
         parent = parent_g.to_network(space, "parent")
-        parent_hash = network_content_hash(parent)
         children = []
         for i in range(6):
             child_g, _ = mutate(parent_g, space, rng)
             children.append(child_g.to_network(space, f"child-{i}"))
         plane = BulkQueryPlane(served.service)
         first = plane.predict_block([parent], served.device)
-        hinted = plane.predict_block(
-            children,
-            served.device,
-            parent_hashes=[parent_hash] * len(children),
-        )
-        # Same children, no hints, fresh plane: identical predictions.
+        with telemetry.scoped_registry() as reg:
+            reused_rows = plane.predict_block(children, served.device)
+            reused = reg.counter_value("encode.rows_reused")
+            computed = reg.counter_value("encode.rows_computed")
+        assert reused >= 2 * len(children)  # at least the stems
+        assert reused + computed == sum(c.n_layers for c in children)
+        parent_rows = {(layer.op, shapes) for layer, shapes, _ in parent.walk()}
+        assert plane.cache_info()["layer_rows"] == len(parent_rows) + computed
+        # Same children, fresh plane (empty memo): identical predictions.
         blank = BulkQueryPlane(served.service)
-        unhinted = blank.predict_block(children, served.device)
+        fresh = blank.predict_block(children, served.device)
         assert first[0].ok
-        a = np.array([r.latency_ms for r in hinted])
-        b = np.array([r.latency_ms for r in unhinted])
+        a = np.array([r.latency_ms for r in reused_rows])
+        b = np.array([r.latency_ms for r in fresh])
         assert a.tobytes() == b.tobytes()
 
-    def test_parent_hashes_must_align(self, served):
+    def test_layer_row_memo_is_bounded(self, served, monkeypatch):
+        import repro.serve.bulk as bulk
+
+        nets = _candidates(8, seed=9)
+        unbounded = BulkQueryPlane(served.service)
+        expected = unbounded.predict_block(nets, served.device)
+        assert unbounded.cache_info()["layer_rows"] > 5
+        monkeypatch.setattr(bulk, "_MAX_LAYER_ROWS", 5)
         plane = BulkQueryPlane(served.service)
-        with pytest.raises(ValueError, match="align"):
-            plane.predict_block(
-                _candidates(3, seed=9), served.device, parent_hashes=[None]
-            )
+        responses = plane.predict_block(nets, served.device)
+        assert plane.cache_info()["layer_rows"] == 5
+        a = np.array([r.latency_ms for r in responses])
+        b = np.array([r.latency_ms for r in expected])
+        assert a.tobytes() == b.tobytes()
+
+    def test_threads_share_the_memo_without_lost_updates(self, served):
+        """Eight threads on one plane, released together and switching
+        every microsecond, two per block of candidates that share layers
+        with the other blocks: every distinct candidate and every
+        distinct layer is encoded exactly once, and every answer equals a
+        serial plane's. Repeated on fresh planes, since a race shows only
+        in some rounds."""
+        import sys
+        import threading
+
+        blocks = [_candidates(6, seed=20 + k) for k in range(4)]
+        serial = BulkQueryPlane(served.service)
+        expected = [serial.predict_block(b, served.device) for b in blocks]
+        distinct = {network_content_hash(n) for b in blocks for n in b}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                plane = BulkQueryPlane(served.service)
+                answers = [None] * 8
+                barrier = threading.Barrier(8, timeout=60)
+
+                def ask(k):
+                    barrier.wait()
+                    answers[k] = plane.predict_block(blocks[k % 4], served.device)
+
+                threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+                with telemetry.scoped_registry() as reg:
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                    computed = reg.counter_value("encode.rows_computed")
+                assert not any(t.is_alive() for t in threads)
+                assert plane.stats["enc_misses"] == len(distinct)
+                assert computed == plane.cache_info()["layer_rows"]
+                for k, got in enumerate(answers):
+                    a = np.array([r.latency_ms for r in got])
+                    b = np.array([r.latency_ms for r in expected[k % 4]])
+                    assert a.tobytes() == b.tobytes(), k
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMisses:
