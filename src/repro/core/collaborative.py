@@ -309,7 +309,10 @@ class CollaborativeRepository:
         # fit_pairs: the end-to-end benchmark's tracer
         # (benchmarks/e2e/trace.py) expects CostModel.build_training_set
         # to record a call on every workload, and this is its only
-        # caller there. Both paths give identical predictions.
+        # caller there. Both paths give identical predictions; the float
+        # path bins with one blocked sort of the matrix's columns
+        # (fit_bin_edges), and assembling and coding the float matrix is
+        # what fit_pairs would still save.
         model = CostModel(
             self.network_encoder, self.hw_encoder, default_regressor(regressor_seed)
         )

@@ -1,26 +1,33 @@
 """Quantile binning utilities shared across the training pipeline.
 
 The GBT learner trains on quantile-binned feature codes (histogram
-method). Fitting on the float design matrix re-derives bin edges by
-running ``np.quantile`` over each column of every (device, network)
-pair, even though the network-encoding block of that matrix is the
-*same* ~1.6k columns repeated for every device.
+method). Every routine here reproduces, byte for byte, the edges of the
+seed's per-column ``np.unique(np.quantile(column, q))`` over the
+``max_bins - 1`` interior quantiles, without calling ``np.quantile``:
+numpy's ``linear`` method is a fixed arithmetic expression of two order
+statistics of the sorted column (replicated exactly by
+:func:`_quantile_positions` and :func:`_numpy_lerp`), so once a column
+is sorted its edges cost a gather and a few vector operations.
 
-Two pieces let callers pay for quantization once:
-
-- :func:`fit_bin_edges` / :func:`apply_bin_edges` — the exact seed
-  binning primitives.
+- :func:`fit_bin_edges` / :func:`apply_bin_edges` — binning of a float
+  design matrix. ``fit_bin_edges`` sorts the columns once, a bounded
+  block of columns at a time, instead of one ``np.quantile`` partition
+  per column.
 - :class:`QuantizedFeatureBlock` — a per-column sort of a fixed feature
   block (e.g. all encoded networks of a suite), from which
-  :meth:`~QuantizedFeatureBlock.weighted_edges` derives, **bit-for-bit**,
-  the bin edges ``np.quantile`` would give on the block's rows repeated
-  any number of times each, without materializing the repeats. This
-  works because ``np.quantile`` depends only on each column's value
-  multiset, and numpy's ``linear`` interpolation is a fixed arithmetic
-  expression of two order statistics (replicated exactly in
-  :func:`_numpy_lerp`). The pair-level fit in
+  :meth:`~QuantizedFeatureBlock.weighted_edges` derives the bin edges
+  ``fit_bin_edges`` would give on the block's rows repeated any number
+  of times each, without materializing the repeats (quantiles depend
+  only on each column's value multiset). The pair-level fit in
   :mod:`repro.core.cost_model` derives every training cell's edges this
   way.
+- :func:`row_quantiles` — the interior quantiles of every row of a
+  row-sorted matrix; the MIS discretizer
+  (:func:`repro.ml.mutual_info.mutual_information_matrix`) bins all
+  networks through it.
+
+Both edge routines end in :func:`_interior_edges`, one row-wise sort of
+the quantile points that keeps ``np.unique``'s bytes.
 
 :func:`dedup_columns` supports a second reuse axis: masked layer
 encodings contain many byte-identical columns (repeated one-hot /
@@ -37,22 +44,48 @@ __all__ = [
     "apply_bin_edges",
     "dedup_columns",
     "fit_bin_edges",
+    "row_quantiles",
 ]
+
+# Cells per sorted column block in fit_bin_edges (8 MiB of float64), so
+# binning never holds a second copy of the design matrix.
+_SORT_BLOCK_CELLS = 1 << 20
+_TRANSPOSE_TILE_ROWS = 512
 
 
 def fit_bin_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
     """Per-feature interior quantile boundaries (possibly empty).
 
-    Boundaries equal to the column maximum are dropped: they could only
+    Column ``f`` gets ``np.unique(np.quantile(X[:, f], q))`` over the
+    ``max_bins - 1`` interior quantiles ``q``, byte for byte, minus the
+    boundaries that are not below the column maximum: they could only
     produce an empty right side, and removing them guarantees constant
     columns get zero edges (all codes 0), which is what lets the GBT
-    fit exclude padding columns from split search.
+    fit exclude padding columns from split search. A column holding NaN
+    gets no edges.
+
+    Columns are copied into one buffer of about ``_SORT_BLOCK_CELLS``
+    cells a block at a time and sorted there, and each quantile is read
+    from two order statistics (:func:`row_quantiles`).
     """
-    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    edges = []
-    for f in range(X.shape[1]):
-        e = np.unique(np.quantile(X[:, f], quantiles))
-        edges.append(e[e < X[:, f].max()])
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    n_rows, n_cols = X.shape
+    if n_rows == 0:
+        raise ValueError("X must contain at least one row")
+    step = max(1, _SORT_BLOCK_CELLS // n_rows)
+    buffer = np.empty((min(step, n_cols), n_rows), dtype=X.dtype)
+    edges: list[np.ndarray] = []
+    for start in range(0, n_cols, step):
+        # One column per row, transposed a tile of rows at a time: a
+        # whole-block transposing copy strides across pages per element.
+        block = buffer[: min(step, n_cols - start)]
+        for r in range(0, n_rows, _TRANSPOSE_TILE_ROWS):
+            tile = slice(r, r + _TRANSPOSE_TILE_ROWS)
+            block[:, tile] = X[tile, start : start + step].T
+        block.sort(axis=1)
+        edges += _interior_edges(row_quantiles(block, max_bins), block[:, -1])
     return edges
 
 
@@ -61,6 +94,42 @@ def apply_bin_edges(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
     for f, e in enumerate(edges):
         codes[:, f] = np.searchsorted(e, X[:, f], side="right")
     return codes
+
+
+def row_quantiles(sorted_rows: np.ndarray, max_bins: int) -> np.ndarray:
+    """``np.quantile(row, q)`` for every row of a row-sorted 2-D array.
+
+    ``q`` are the ``max_bins - 1`` interior quantiles; the result has
+    one row of points per input row. Byte-identical to ``np.quantile``
+    on rows without NaN (where numpy returns NaN for the whole row),
+    up to the sign of zero ties, which a sort and numpy's partition may
+    order differently.
+    """
+    lo, hi, gamma = _quantile_positions(sorted_rows.shape[1], max_bins)
+    return _numpy_lerp(sorted_rows[:, lo], sorted_rows[:, hi], gamma)
+
+
+def _quantile_positions(
+    n: int, max_bins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order statistics and weights of numpy's ``linear`` quantiles.
+
+    For ``n`` sorted values and the ``max_bins - 1`` interior quantiles,
+    ``np.quantile`` interpolates between sorted positions ``lo`` and
+    ``hi`` with weight ``gamma``. As in numpy's ``_get_indexes``, a
+    virtual index at or past the last position reads the last value on
+    both sides, with ``gamma`` taken against index ``-1``; for interior
+    quantiles that happens only when ``n == 1``.
+    """
+    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    virtual = (n - 1) * quantiles
+    lo = np.floor(virtual)
+    hi = lo + 1
+    above = virtual >= n - 1
+    lo[above] = hi[above] = -1
+    gamma = virtual - lo
+    lo[above] = hi[above] = n - 1
+    return lo.astype(np.intp), hi.astype(np.intp), gamma
 
 
 def _numpy_lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -77,6 +146,24 @@ def _numpy_lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     if high.any():
         np.copyto(out, b - diff * (1 - t), where=high)
     return out
+
+
+def _interior_edges(points: np.ndarray, col_max: np.ndarray) -> list[np.ndarray]:
+    """``np.unique(points[c])`` below ``col_max[c]``, for every row ``c``.
+
+    ``np.unique`` sorts its input and keeps the first element of each
+    run of equal values; a row-wise sort calls the same sort on each
+    row, so the first of each run is the same element, sign of zero
+    included. NaN never survives the ``< col_max`` test, so
+    ``np.unique``'s collapsing of NaN runs does not matter. The edges
+    are views into one array.
+    """
+    points = np.sort(points, axis=1)
+    keep = points < col_max[:, None]
+    keep[:, 1:] &= points[:, 1:] != points[:, :-1]
+    flat = points[keep]
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def dedup_columns(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,11 +237,9 @@ class QuantizedFeatureBlock:
         the first sorted value whose cumulative count exceeds ``t``
         (zero-count rows can never be hit: their cumulative count
         equals their predecessor's, so the strict-exceed test skips
-        them). ``np.quantile``'s linear interpolation between adjacent
-        order statistics is then replayed exactly via
-        :func:`_numpy_lerp`. Like ``np.quantile``, the upper order
-        statistic is clipped to the last one, which only binds when the
-        counts sum to 1.
+        them). ``np.quantile``'s linear interpolation between the two
+        order statistics of :func:`_quantile_positions` is then
+        replayed exactly via :func:`_numpy_lerp`.
         """
         counts = np.asarray(counts)
         if counts.shape != (self.n_items,):
@@ -166,31 +251,19 @@ class QuantizedFeatureBlock:
         n = int(counts.sum())
         if n == 0:
             raise ValueError("counts select no rows")
-        quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-        virtual = (n - 1) * quantiles
-        previous = np.floor(virtual)
-        gamma = virtual - previous
-        prev_i = previous.astype(np.intp)
-        nq = virtual.size
+        lo, hi, gamma = _quantile_positions(n, max_bins)
+        nq = gamma.size
         # Every column's cumulative counts are non-decreasing in [0, n],
         # so count_nonzero(cumw[:, c] <= t) is a right-side searchsorted.
         # Shifting column c by c * (n + 1) keeps the column-major
         # flattening sorted, and one searchsorted answers every
-        # (column, threshold) query.
+        # (column, order statistic) query.
         cols = np.arange(self.n_cols)
         shift = cols * (n + 1)
         cumw = np.cumsum(counts[self.order], axis=0).T + shift[:, None]  # (n_cols, m)
-        thresholds = np.concatenate([prev_i, prev_i + 1, [n - 1]])
+        thresholds = np.concatenate([lo, hi, [n - 1]])
         rank = np.searchsorted(cumw.ravel(), shift[:, None] + thresholds, side="right")
         rank -= (cols * self.n_items)[:, None]
-        lo, hi, last = rank[:, :nq], rank[:, nq:-1], rank[:, -1]
-        sorted_t = self.sorted_values.T  # (n_cols, m)
-        a = sorted_t[cols[:, None], lo]
-        b = sorted_t[cols[:, None], np.minimum(hi, last[:, None])]
-        points = _numpy_lerp(a, b, gamma[None, :])
-        col_max = sorted_t[cols, last]
-        edges = []
-        for c in range(self.n_cols):
-            e = np.unique(points[c])
-            edges.append(e[e < col_max[c]])
-        return edges
+        stats = self.sorted_values.T[cols[:, None], rank]
+        points = _numpy_lerp(stats[:, :nq], stats[:, nq:-1], gamma)
+        return _interior_edges(points, stats[:, -1])

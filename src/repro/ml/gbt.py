@@ -19,11 +19,16 @@ quantize-once pipeline (see ``repro.ml.binning``):
 - :meth:`GradientBoostedTrees.fit_binned` trains directly on uint8 bin
   codes + edges, so callers that share pre-binned feature blocks across
   many fits skip quantization entirely; :meth:`~GradientBoostedTrees.fit`
-  is a thin bin-then-train wrapper with the seed semantics.
+  is a thin bin-then-train wrapper with the seed semantics (its edges
+  come from one blocked sort of the columns, see
+  :func:`~repro.ml.binning.fit_bin_edges`).
 - Masked network encodings contain many byte-identical columns
-  (repeated one-hot/padding patterns); histograms are computed once per
-  *distinct* column and broadcast back, which is bit-exact because
-  identical code columns produce identical accumulation sequences.
+  (repeated one-hot/padding patterns). Histograms, sibling subtraction
+  and split search run once per *distinct* column, which is bit-exact
+  because identical code columns produce identical accumulation
+  sequences; only the leaf sums expand back to the per-feature layout,
+  and the tie-break reproduces the per-feature ``np.argmax`` (see
+  :class:`_TreeBuilder`).
 - Count histograms of the full training set are precomputed once per
   fit and reused at every root node (integer counts are order-free).
 - :meth:`~GradientBoostedTrees.predict_binned` evaluates the whole
@@ -110,13 +115,23 @@ class _BoostState:
 class _TreeBuilder:
     """Grows one tree on binned codes with histogram splits.
 
-    Histograms are accumulated per *distinct* code column (``sub`` holds
-    the pre-offset codes of the distinct columns this tree sampled) and
-    expanded to the per-feature layout through ``feat_group`` before
-    split search, which keeps every downstream float operation —
-    cumulative sums, gain algebra, argmax tie-breaking, sibling
-    subtraction — on arrays byte-identical to the per-feature
-    computation.
+    Histograms, sibling subtraction and split search run per *distinct*
+    code column of this tree's sample: ``sub`` holds the pre-offset
+    codes of the sampled groups, ``groups`` their rows in the fit's
+    group space (``None`` when every group is sampled) and
+    ``feat_local`` each sampled feature's row in the sampled-group
+    layout. Features of one group have byte-identical histogram rows,
+    so every elementwise operation and every row's cumulative sums
+    give, per group, the bytes the per-feature layout would. Two steps
+    still answer as the per-feature layout:
+
+    - the node sums behind the leaf value reduce over every sampled
+      feature's histogram, so the groups are expanded back for them;
+    - the tie-break: ``np.argmax`` over the per-feature gain matrix
+      takes the first sampled feature whose row holds the maximum, at
+      that row's first maximal bin. :meth:`_best_split` takes each
+      group's first maximal bin, then the first sampled feature whose
+      group holds the maximum, which is the same (feature, bin).
     """
 
     def __init__(
@@ -124,7 +139,8 @@ class _TreeBuilder:
         codes: np.ndarray,
         sub: np.ndarray,
         features: np.ndarray,
-        feat_group: np.ndarray,
+        groups: np.ndarray | None,
+        feat_local: np.ndarray,
         hist_shape: tuple[int, int],
         n_bins: int,
         max_depth: int,
@@ -136,7 +152,8 @@ class _TreeBuilder:
         self.codes = codes
         self.sub = sub
         self.features = features
-        self.feat_group = feat_group
+        self.groups = groups
+        self.feat_local = feat_local
         self.hist_shape = hist_shape
         self.n_bins = n_bins
         self.max_depth = max_depth
@@ -164,7 +181,7 @@ class _TreeBuilder:
     def _histograms(
         self, rows: np.ndarray, g: np.ndarray, *, root: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient, count) histograms of shape (n_features, n_bins)."""
+        """(gradient, count) histograms of shape (n_sampled_groups, n_bins)."""
         n_cols = self.sub.shape[1]
         if root and self.root_counts is not None:
             # Full-data root: no row gather, counts precomputed.
@@ -179,8 +196,9 @@ class _TreeBuilder:
             )
         g_hist = np.bincount(flat, weights=weights, minlength=self._hist_size)
         g_hist = g_hist.reshape(self.hist_shape)
-        # Broadcast distinct-column histograms to the per-feature layout.
-        return g_hist[self.feat_group], counts.astype(float)[self.feat_group]
+        if self.groups is not None:
+            g_hist, counts = g_hist[self.groups], counts[self.groups]
+        return g_hist, counts.astype(float)
 
     def _best_split(
         self, g_hist: np.ndarray, h_hist: np.ndarray
@@ -204,12 +222,16 @@ class _TreeBuilder:
         gain[invalid] = -np.inf
         if gain.size == 0:
             return None
-        flat_best = int(np.argmax(gain))
-        feat_idx, bin_idx = divmod(flat_best, gain.shape[1])
-        best_gain = float(gain[feat_idx, bin_idx])
+        # Each group's first maximal bin (NaN first, as np.argmax), then
+        # the first sampled feature whose group holds the maximum.
+        bins = np.argmax(gain, axis=1)
+        group_best = gain[np.arange(gain.shape[0]), bins]
+        feat_idx = int(np.argmax(group_best[self.feat_local]))
+        group = self.feat_local[feat_idx]
+        best_gain = float(group_best[group])
         if not np.isfinite(best_gain) or best_gain <= 0.0:
             return None
-        return best_gain, int(self.features[feat_idx]), int(bin_idx)
+        return best_gain, int(self.features[feat_idx]), int(bins[group])
 
     def build(self, rows: np.ndarray, g: np.ndarray, *, full_rows: bool) -> _FlatTree:
         root = self._new_node()
@@ -232,8 +254,9 @@ class _TreeBuilder:
         h_hist: np.ndarray,
         depth: int,
     ) -> None:
-        g_sum = float(g_hist.sum())
-        h_sum = float(h_hist.sum())
+        # Summed over the per-feature layout, as the seed learner does.
+        g_sum = float(g_hist[self.feat_local].sum())
+        h_sum = float(h_hist[self.feat_local].sum())
         self.value[node] = -g_sum / (h_sum + self.reg_lambda)
 
         if depth >= self.max_depth or rows.size < 2:
@@ -497,11 +520,13 @@ class GradientBoostedTrees:
                 # only the groups this tree actually uses. Bins stay in
                 # the full group space (unused bins are just zero), so
                 # no per-tree re-offsetting is needed.
-                feat_group = state.group_of[np.searchsorted(active, cols)]
-                sub = full_sub[:, np.unique(feat_group)]
+                groups, feat_local = np.unique(
+                    state.group_of[np.searchsorted(active, cols)], return_inverse=True
+                )
+                sub = full_sub[:, groups]
             else:
                 cols = active
-                feat_group = state.group_of
+                groups, feat_local = None, state.group_of
                 sub = full_sub
             root_counts = state.full_counts if full_rows else None
 
@@ -509,7 +534,8 @@ class GradientBoostedTrees:
                 codes,
                 sub,
                 cols,
-                feat_group,
+                groups,
+                feat_local,
                 state.hist_shape,
                 self.max_bins,
                 self.max_depth,

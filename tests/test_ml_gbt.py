@@ -22,6 +22,38 @@ def _friedman(n, seed=0):
     return X, y
 
 
+def _tied_design(n, seed=0):
+    """A matrix whose split search meets exact gain ties between groups.
+
+    Column ``gate`` splits the target. Each ``twin`` equals one base
+    column on the gate-0 rows and holds its own permutation of one
+    shared vector on the gate-1 rows: all twins share a value multiset,
+    hence bin edges, yet are distinct code columns (groups) whose
+    histograms are byte-identical in every gate-0 node, so the gains
+    there tie exactly. Every twin is duplicated and the columns are
+    shuffled, so under column sampling a group's first sampled feature
+    often comes after that of a tied group with a higher id; constant
+    columns pad the matrix.
+    """
+    rng = np.random.default_rng(seed)
+    gate = (np.arange(n) % 2).astype(float)
+    low = gate == 0
+    base = rng.integers(0, 6, size=int(low.sum())).astype(float)
+    shared = rng.normal(size=int((~low).sum()))
+    twins = []
+    for _ in range(6):
+        twin = np.empty(n)
+        twin[low] = base
+        twin[~low] = rng.permutation(shared)
+        twins.append(twin)
+    columns = [gate, *twins, *twins, *twins, *[twins[k] for k in rng.integers(0, 6, 6)]]
+    columns += [*rng.normal(size=(4, n)), np.full(n, 3.0), np.zeros(n), np.full(n, -1.0)]
+    X = np.column_stack(columns)[:, rng.permutation(len(columns))]
+    y = 5.0 * gate + 0.1 * rng.normal(size=n)
+    y[low] += base
+    return X, y
+
+
 class TestBinning:
     def test_codes_monotone_in_value(self):
         X = np.linspace(0, 1, 100).reshape(-1, 1)
@@ -178,6 +210,32 @@ class TestQuantizeOncePaths:
         new = GradientBoostedTrees(**params).fit(X, y)
         for rows in ROW_COUNTS:
             assert new.predict(Xt[:rows]).tobytes() == legacy.predict(Xt[:rows]).tobytes()
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("colsample", [0.25, 1.0])
+    def test_group_tie_break_matches_seed_implementation(self, colsample, subsample):
+        """Split search runs per distinct column; on planted exact gain
+        ties between groups it must still pick the seed's feature and
+        bin, and leaf sums must still run over the per-feature layout."""
+        from benchmarks.legacy_train import LegacyGradientBoostedTrees
+
+        X, y = _tied_design(240, seed=0)
+        Xt, _ = _tied_design(97, seed=1)
+        params = dict(
+            n_estimators=30, colsample_bytree=colsample, subsample=subsample, seed=5
+        )
+        legacy = LegacyGradientBoostedTrees(**params).fit(X, y)
+        new = GradientBoostedTrees(**params).fit(X, y)
+        assert len(new._trees) == len(legacy._trees)
+        for ours, seed_tree in zip(new._trees, legacy._trees):
+            for field in ("feature", "bin_threshold", "left", "right", "value"):
+                a, b = getattr(ours, field), getattr(seed_tree, field)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        imp = new.feature_importances_
+        assert imp.tobytes() == legacy.feature_importances_.tobytes()
+        for data in (X, Xt):
+            assert new.predict(data).tobytes() == legacy.predict(data).tobytes()
 
     def test_predict_block_matches_per_row_predict_binned(self):
         X, y = _friedman(500)

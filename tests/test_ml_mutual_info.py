@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.mutual_info import (
+    _discretize_rows,
     discretize,
     entropy,
     joint_entropy,
@@ -134,6 +135,40 @@ def _kernel_cases():
         data[4] = np.round(data[4])
         data[5] = rng.integers(0, 3, size=n_samples)
         yield n_samples, data
+
+
+class TestDiscretizeRows:
+    """The kernel bins every row from one row-wise sort; the scalar
+    ``discretize`` stays the oracle for each row's codes."""
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 8, 16])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 5, 9, 40, 105, 300])
+    def test_matches_scalar_discretize(self, n_bins, n_samples):
+        rng = np.random.default_rng(n_samples)
+        data = rng.lognormal(size=(12, n_samples))
+        data[1] = 4.0
+        data[2] = np.round(data[2])
+        data[3] = rng.integers(0, 3, size=n_samples)
+        data[4] = np.where(rng.random(n_samples) < 0.8, 1.5, data[4])
+        data[5] = -data[5]
+        data[6] = np.repeat(rng.normal(size=3), n_samples)[:n_samples]
+        data[7, ::2] = 0.0
+        data[7, 1::2] = -0.0
+        data[8] = data[0]
+        data[9, 0] = np.nan
+        data[10, -1] = np.inf
+        with np.errstate(invalid="ignore"):
+            codes = _discretize_rows(data, n_bins)
+            for i, row in enumerate(data):
+                want = discretize(row, n_bins)
+                assert codes[i].dtype == want.dtype
+                assert codes[i].tobytes() == want.tobytes(), i
+
+    def test_rejects_what_discretize_rejects(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            _discretize_rows(np.ones((3, 0)), 8)
+        with pytest.raises(ValueError, match="n_bins"):
+            _discretize_rows(np.ones((3, 4)), 1)
 
 
 class TestMutualInformationMatrixExactness:
