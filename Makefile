@@ -31,6 +31,7 @@ bench-smoke:
 	PYTHONPATH=src pytest benchmarks/ -q -k "fig09 or fig11 or fig12 or fig13 or table1"
 	PYTHONPATH=src pytest benchmarks/test_perf_parallel_campaign.py -q
 	PYTHONPATH=src pytest benchmarks/test_perf_train_path.py -q
+	PYTHONPATH=src pytest benchmarks/test_perf_search.py -q
 
 # Fault-tolerance smoke: campaign under a canned FaultPlan, killed
 # after K rows, resumed from the checkpoint; the final matrix must be

@@ -16,7 +16,6 @@ Three encoders:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -89,17 +88,15 @@ def _encode_layers(network: Network) -> np.ndarray:
 def network_content_hash(network: Network) -> str:
     """Name-independent SHA-256 of a network's structure.
 
-    Built from the input shape and each layer's (operator repr, input
-    wiring); two networks that differ only in ``name`` hash equal, so
-    search candidates dedup across renames and across generations.
+    SHA-256 over ``repr(input_shape)``, then ``b"\\x00"``, ``repr(op)``
+    and ``repr(inputs)`` per layer; two networks that differ only in
+    ``name`` hash equal, so search candidates dedup across renames and
+    across generations. The digest is :attr:`Network.content_hash
+    <repro.nnir.graph.Network.content_hash>`: each network object
+    computes it once, from bytes each layer object builds once, so the
+    bulk plane and ``run_search`` hashing the same candidate pay once.
     """
-    h = hashlib.sha256()
-    h.update(repr(network.input_shape).encode())
-    for layer in network.layers:
-        h.update(b"\x00")
-        h.update(repr(layer.op).encode())
-        h.update(repr(layer.inputs).encode())
-    return h.hexdigest()
+    return network.content_hash
 
 
 class NetworkEncoder:

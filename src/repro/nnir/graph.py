@@ -5,12 +5,20 @@ connections; we store them as a topologically ordered layer list where
 each layer names its input layers by index (-1 denotes the network
 input). Shape inference runs at construction, so an instantiated
 :class:`Network` is valid by construction.
+
+Both classes are immutable, so each caches what is derived from its
+structure alone on first use: a layer its content bytes, a network its
+content hash. The caches live on the object, never in a table keyed by
+value: value-equal operators can have different reprs (``use_se=0``
+against ``use_se=False``), and so different hashes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.nnir.ops import Op, TensorShape
 
@@ -42,6 +50,12 @@ class Layer:
                 f"{self.op.kind.value} expects {self.op.arity} inputs, "
                 f"got {len(self.inputs)}"
             )
+
+    @cached_property
+    def content_bytes(self) -> bytes:
+        """``b"\\x00" + repr(op) + repr(inputs)``: this layer's share of
+        :attr:`Network.content_hash`, built once per layer object."""
+        return b"\x00" + repr(self.op).encode() + repr(self.inputs).encode()
 
 
 class Network:
@@ -114,9 +128,38 @@ class Network:
         )
 
     def walk(self) -> Iterator[tuple[Layer, tuple[TensorShape, ...], TensorShape]]:
-        """Yield ``(layer, input_shapes, output_shape)`` in topo order."""
-        for i, layer in enumerate(self.layers):
-            yield layer, self.layer_inputs(i), self._shapes[i]
+        """Yield ``(layer, input_shapes, output_shape)`` in topo order.
+
+        Each input-shape tuple equals :meth:`layer_inputs` and is built
+        as its layer is reached, a one-input layer's without a loop. The
+        network stores no per-layer input tuples: that would be one more
+        object per layer of every network alive.
+        """
+        input_shape, shapes = self.input_shape, self._shapes
+        for layer, out_shape in zip(self.layers, shapes):
+            inputs = layer.inputs
+            if len(inputs) == 1:
+                src = inputs[0]
+                in_shapes = (input_shape if src == NETWORK_INPUT else shapes[src],)
+            else:
+                in_shapes = tuple(
+                    [input_shape if src == NETWORK_INPUT else shapes[src] for src in inputs]
+                )
+            yield layer, in_shapes, out_shape
+
+    @cached_property
+    def content_hash(self) -> str:
+        """Name-independent SHA-256 of the structure, computed once per object.
+
+        The digest covers ``repr(input_shape)`` and then each layer's
+        :attr:`Layer.content_bytes`, in order. Two networks that differ
+        only in ``name`` hash equal. The value rides along when the
+        network is pickled or copied.
+        """
+        digest = hashlib.sha256(repr(self.input_shape).encode())
+        for layer in self.layers:
+            digest.update(layer.content_bytes)
+        return digest.hexdigest()
 
     def __repr__(self) -> str:
         return f"Network({self.name!r}, {self.n_layers} layers, in={self.input_shape})"

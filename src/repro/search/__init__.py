@@ -30,6 +30,7 @@ from repro.search.evolution import (
 from repro.search.space import (
     EvolutionSpace,
     Genotype,
+    LayerMemo,
     MUTATION_KINDS,
     mutate,
     random_genotype,
@@ -40,6 +41,7 @@ __all__ = [
     "Candidate",
     "EvolutionSpace",
     "Genotype",
+    "LayerMemo",
     "SearchConfig",
     "SearchResult",
     "accuracy_proxy",

@@ -16,10 +16,19 @@ a real constraint and the Pareto front non-degenerate. Its MAC count
 comes from :func:`~repro.nnir.flops.network_work` with a per-run layer
 memo, so each distinct layer is priced once per run.
 
+Each run owns a :class:`~repro.search.space.LayerMemo`, so a layer any
+earlier candidate had is handed over as the same finished object
+rather than built again, and each candidate's content hash is computed
+once, on the network object, though both the plane and the run ask for
+it. The memo is the executor map's shared object itself, not a dict,
+which ``Executor.map`` would rebuild on every call, so the workers fill
+the run's own memo.
+
 Determinism: all randomness comes from one ``default_rng(seed)``;
 genotype materialization runs through the ordered
 :class:`~repro.parallel.Executor` map (serial or thread backend —
-results are position-stable either way); ties break on content hash.
+results are position-stable either way, and a layer's value does not
+depend on which worker built it first); ties break on content hash.
 ``SearchResult.digest`` is a SHA-256 over the winner and the sorted
 Pareto front, so two runs agree iff they found byte-identical results.
 """
@@ -35,9 +44,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.representation import network_content_hash
-from repro.nnir.flops import network_work
+from repro.nnir.flops import LayerWork, network_work
 from repro.parallel import get_executor
-from repro.search.space import EvolutionSpace, Genotype, mutate, random_genotype
+from repro.search.space import EvolutionSpace, Genotype, LayerMemo, mutate, random_genotype
 from repro.serve.bulk import BulkQueryPlane
 from repro.serve.registry import DEFAULT_CLUSTER
 
@@ -166,9 +175,9 @@ def _fitness(candidate: Candidate, budget_ms: float) -> float:
     return candidate.accuracy - 1e3 - (candidate.latency_ms - budget_ms)
 
 
-def _materialize(space: EvolutionSpace, task: tuple[int, Genotype]):
+def _materialize(layers: LayerMemo, task: tuple[int, Genotype]):
     index, genotype = task
-    return genotype.to_network(space, f"search-cand-{index}")
+    return genotype.to_network(layers.space, f"search-cand-{index}", layers=layers)
 
 
 def run_search(
@@ -201,7 +210,8 @@ def run_search(
 
     evaluated: dict[str, Candidate] = {}
     proxy_memo: dict[str, float] = {}
-    layer_work: dict[tuple, tuple] = {}  # network_work's per-layer memo
+    layer_memo = LayerMemo(space)  # to_network's finished layers
+    layer_work: dict[tuple, LayerWork] = {}  # network_work's per-layer memo
     gen_stats: list[dict] = []
     counter = 0
 
@@ -209,7 +219,7 @@ def run_search(
         telemetry.count("search.generations")
         tasks = list(enumerate(population, start=counter))
         counter += len(tasks)
-        networks = executor.map(_materialize, tasks, shared=space)
+        networks = executor.map(_materialize, tasks, shared=layer_memo)
         responses = plane.predict_block(
             networks,
             device,

@@ -37,6 +37,7 @@ __all__ = [
     "MUTATION_KINDS",
     "EvolutionSpace",
     "Genotype",
+    "LayerMemo",
     "mutate",
     "random_genotype",
 ]
@@ -46,6 +47,9 @@ MUTATION_KINDS = ("depth", "width", "kernel")
 
 #: One block: (expansion ratio, depthwise kernel size).
 Block = tuple[int, int]
+
+#: A :class:`LayerMemo` value: one block's layer, or the stem's or head's layers.
+_Entry = Layer | tuple[Layer, ...]
 
 
 @dataclass(frozen=True)
@@ -104,35 +108,111 @@ class Genotype:
     def n_blocks(self) -> int:
         return sum(len(stage) for stage in self.blocks)
 
-    def to_network(self, space: EvolutionSpace, name: str) -> Network:
-        """Materialize the genotype as an immutable chain network."""
-        layers: list[Layer] = []
-        layers.append(Layer(Conv2d(3, space.stem, 3, 2, 1)))
-        layers.append(Layer(Activation(space.activation), (len(layers) - 1,)))
+    def to_network(
+        self, space: EvolutionSpace, name: str, layers: LayerMemo | None = None
+    ) -> Network:
+        """Materialize the genotype as an immutable chain network.
+
+        ``layers`` is an optional run-owned :class:`LayerMemo` of finished
+        layers, keyed by position and block gene. A layer found there is
+        taken as is, the same object for every candidate that has it; a
+        layer missing from it is built and stored. Without one, every
+        layer is built. Either way the network has equal layers, so the
+        same shapes, content hash, encoding and work. Genes are read as
+        ints, so a numpy integer gene builds the same layer as a plain
+        one. A memo serves one space only and refuses any other.
+        """
+        memo = {} if layers is None else layers.entries_for(space)
+        built = [*_stem(space, memo)]
         channels = space.stem
-        for stage, (width, stage_blocks) in enumerate(
-            zip(self.stage_widths, self.blocks)
-        ):
-            for b, (expansion, kernel) in enumerate(stage_blocks):
-                op = InvertedBottleneck(
-                    in_channels=channels,
-                    out_channels=width,
-                    expansion=expansion,
-                    kernel=kernel,
-                    stride=space.stage_strides[stage] if b == 0 else 1,
-                    use_se=False,
-                    activation=space.activation,
-                )
-                layers.append(Layer(op, (len(layers) - 1,)))
+        for stage, (width, stage_blocks) in enumerate(zip(self.stage_widths, self.blocks)):
+            stride = space.stage_strides[stage]
+            for expansion, kernel in stage_blocks:
+                position = len(built)
+                key = (position, channels, width, expansion, kernel, stride)
+                layer = memo.get(key)
+                if layer is None:
+                    op = InvertedBottleneck(
+                        in_channels=int(channels),
+                        out_channels=int(width),
+                        expansion=int(expansion),
+                        kernel=int(kernel),
+                        stride=stride,
+                        use_se=False,
+                        activation=space.activation,
+                    )
+                    layer = memo.setdefault(key, Layer(op, (position - 1,)))
+                built.append(layer)
                 channels = width
-        layers.append(Layer(Conv2d(channels, space.head, 1, 1, 0), (len(layers) - 1,)))
-        layers.append(Layer(Activation(space.activation), (len(layers) - 1,)))
-        layers.append(Layer(GlobalAvgPool(), (len(layers) - 1,)))
-        layers.append(Layer(Flatten(), (len(layers) - 1,)))
-        layers.append(Layer(Linear(space.head, space.n_classes), (len(layers) - 1,)))
-        return Network(
-            name, TensorShape(3, space.resolution, space.resolution), layers
+                stride = 1
+        built += _head(space, memo, len(built), channels)
+        return Network(name, TensorShape(3, space.resolution, space.resolution), built)
+
+
+class LayerMemo:
+    """Finished chain layers of one :class:`EvolutionSpace`, for one run.
+
+    Maps a layer's position and block gene, as plain ints, to the frozen
+    :class:`~repro.nnir.graph.Layer` built for it: ``(position, in
+    channels, width, expansion, kernel, stride)`` for a block, ``(0,)``
+    for the two stem layers and ``(position, channels)`` for the five
+    head layers. Everything else a layer holds comes from the space, so
+    the memo is bound to one and :meth:`entries_for` refuses another.
+    Layers are immutable, and a concurrent miss keeps the first layer
+    stored (``dict.setdefault``), so thread workers can share one memo.
+
+    ``run_search`` owns one per run and hands it to its executor as the
+    map's shared object. It is not a dict on purpose: ``Executor.map``
+    rebuilds every dict, list and tuple in its shared payload on each
+    call, which would give every generation an empty copy.
+    """
+
+    __slots__ = ("space", "_entries")
+
+    def __init__(self, space: EvolutionSpace) -> None:
+        self.space = space
+        self._entries: dict[tuple[int, ...], _Entry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entries_for(self, space: EvolutionSpace) -> dict[tuple[int, ...], _Entry]:
+        """The memo's entries, after checking that ``space`` is its space."""
+        if space is not self.space and space != self.space:
+            raise ValueError("this layer memo belongs to a different EvolutionSpace")
+        return self._entries
+
+
+def _stem(space: EvolutionSpace, memo: dict) -> tuple[Layer, ...]:
+    """The stem conv and its activation, from the memo when present."""
+    stem = memo.get((0,))
+    if stem is None:
+        stem = memo.setdefault(
+            (0,),
+            (
+                Layer(Conv2d(3, space.stem, 3, 2, 1)),
+                Layer(Activation(space.activation), (0,)),
+            ),
         )
+    return stem
+
+
+def _head(space: EvolutionSpace, memo: dict, position: int, channels: int) -> tuple[Layer, ...]:
+    """The five head layers from ``position`` on, after ``channels``."""
+    key = (position, channels)
+    head = memo.get(key)
+    if head is None:
+        head = memo.setdefault(
+            key,
+            (
+                Layer(Conv2d(int(channels), space.head, 1, 1, 0), (position - 1,)),
+                Layer(Activation(space.activation), (position,)),
+                Layer(GlobalAvgPool(), (position + 1,)),
+                Layer(Flatten(), (position + 2,)),
+                Layer(Linear(space.head, space.n_classes), (position + 3,)),
+            ),
+        )
+    return head
 
 
 def _choice(rng: np.random.Generator, options: tuple) -> object:

@@ -258,3 +258,74 @@ class TestNetworkContentHash:
         assert network_content_hash(_chain("a", 4)) != network_content_hash(
             _chain("a", 5)
         )
+
+    @staticmethod
+    def _oracle(network):
+        """The digest's bytes, spelled out: SHA-256 over the input shape's
+        repr, then ``b"\\x00"``, the operator's repr and the input wiring's
+        repr per layer."""
+        import hashlib
+
+        h = hashlib.sha256(repr(network.input_shape).encode())
+        for layer in network.layers:
+            h.update(b"\x00")
+            h.update(repr(layer.op).encode())
+            h.update(repr(layer.inputs).encode())
+        return h.hexdigest()
+
+    @staticmethod
+    def _chain_candidates():
+        """A 200-step mutation chain, each built with and without a
+        shared layer memo."""
+        from repro.search.space import EvolutionSpace, LayerMemo, mutate, random_genotype
+
+        space = EvolutionSpace()
+        rng = np.random.default_rng(11)
+        memo = LayerMemo(space)
+        genotype = random_genotype(space, rng)
+        built = []
+        for i in range(200):
+            genotype, _ = mutate(genotype, space, rng)
+            built.append(genotype.to_network(space, f"plain-{i}"))
+            built.append(genotype.to_network(space, f"memo-{i}", layers=memo))
+        return built
+
+    def test_digest_equals_the_byte_oracle(self, memo_population):
+        from repro.core.representation import network_content_hash
+
+        for net in [*memo_population, *self._chain_candidates()]:
+            assert network_content_hash(net) == self._oracle(net), net.name
+
+    def test_value_equal_operators_with_different_reprs_hash_apart(self, memo_population):
+        """``use_se=0`` equals ``use_se=False``, but the reprs differ, so
+        the hashes must too: no cache may be keyed by value equality."""
+        from repro.core.representation import network_content_hash
+
+        ints, bools = memo_population[-2:]
+        assert (ints.name, bools.name) == ("se-ints", "se-bools")
+        assert ints.layers == bools.layers
+        assert network_content_hash(ints) != network_content_hash(bools)
+        assert network_content_hash(ints) == self._oracle(ints)
+        assert network_content_hash(bools) == self._oracle(bools)
+
+    def test_cached_hash_is_stable_and_travels(self, memo_population):
+        import copy
+        import pickle
+
+        from repro.core.representation import network_content_hash
+        from repro.nnir.graph import Network
+
+        for net in memo_population[:: 7]:
+            first = network_content_hash(net)
+            assert network_content_hash(net) == first
+            clone = Network(f"{net.name}-renamed", net.input_shape, net.layers)
+            assert network_content_hash(clone) == first
+            rebuilt = Network(
+                net.name,
+                net.input_shape,
+                [Layer(layer.op, layer.inputs) for layer in net.layers],
+            )
+            assert network_content_hash(rebuilt) == first
+            for twin in (pickle.loads(pickle.dumps(net)), copy.copy(net)):
+                assert network_content_hash(twin) == first
+                assert self._oracle(twin) == first

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.nnir.flops import network_work
+from repro.nnir.flops import LayerWork, network_work
 from repro.nnir.graph import Layer, Network
 from repro.nnir.ops import (
     Activation,
@@ -120,11 +120,24 @@ class TestLayerWorkMemo:
                     by_kind[p.kind] = by_kind.get(p.kind, 0) + p.macs
             assert list(network_work(net).by_kind.items()) == list(by_kind.items()), net.name
 
-    def test_memo_entries_are_the_layer_work(self):
-        net = _net()
+    def test_memo_entries_are_the_layer_work(self, memo_population):
+        """Each memo entry is its layer's own lowering and the sums over
+        it: MACs, input plus output bytes, and per-kind MACs in order of
+        first appearance over the layer's primitives."""
         layers = {}
-        network_work(net, layers)
-        for layer, in_shapes, _ in net.walk():
-            primitives, params = layers[(layer.op, in_shapes)]
-            assert primitives == tuple(layer.op.primitives(in_shapes))
-            assert params == layer.op.param_count(in_shapes)
+        for net in [_net(), *memo_population]:
+            network_work(net, layers)
+            for layer, in_shapes, _ in net.walk():
+                entry = layers[(layer.op, in_shapes)]
+                assert isinstance(entry, LayerWork)
+                primitives = layer.op.primitives(in_shapes)
+                by_kind = {}
+                for p in primitives:
+                    by_kind[p.kind] = by_kind.get(p.kind, 0) + p.macs
+                assert entry.primitives == tuple(primitives), net.name
+                assert entry.params == layer.op.param_count(in_shapes), net.name
+                assert entry.macs == sum(p.macs for p in primitives), net.name
+                assert entry.activation_bytes == sum(
+                    p.input_bytes + p.output_bytes for p in primitives
+                ), net.name
+                assert entry.by_kind == tuple(by_kind.items()), net.name

@@ -6,6 +6,7 @@ from repro.nnir.graph import Layer, Network
 from repro.nnir.ops import (
     Activation,
     Add,
+    Concat,
     Conv2d,
     Flatten,
     GlobalAvgPool,
@@ -90,3 +91,54 @@ class TestNetworkConstruction:
     def test_repr_mentions_name_and_depth(self):
         text = repr(_tiny_net())
         assert "tiny" in text and "6 layers" in text
+
+
+def _two_input_nets():
+    """Adds and concats fed by earlier layers and by the network input,
+    the concats' two inputs of different shapes."""
+    return [
+        Network("skip", TensorShape(3, 8, 8), [
+            Layer(Conv2d(3, 8, 3, 1, 1)),
+            Layer(Conv2d(8, 8, 3, 1, 1), (0,)),
+            Layer(Add(), (0, 1)),
+        ]),
+        Network("input-skip", TensorShape(3, 8, 8), [
+            Layer(Conv2d(3, 5, 3, 1, 1)),
+            Layer(Concat(), (0, -1)),
+            Layer(Concat(), (-1, 1)),
+            Layer(Conv2d(11, 3, 1, 1, 0), (2,)),
+            Layer(Add(), (-1, 3)),
+        ]),
+    ]
+
+
+class TestWalk:
+    def test_walk_equals_the_shape_oracle(self, memo_population):
+        """Every ``(layer, in_shapes, out_shape)`` from ``walk()`` equals
+        the triple built here from ``layer.inputs``, ``input_shape`` and
+        ``layer_shapes()``, and ``layer_inputs(i)``, on the memo population
+        and on two-input layers fed by layers and by the network input."""
+        from_input = two_input = 0
+        nets = [*memo_population, *_two_input_nets()]
+        for net in nets:
+            shapes = net.layer_shapes()
+            walked = list(net.walk())
+            assert len(walked) == net.n_layers, net.name
+            for i, (layer, triple) in enumerate(zip(net.layers, walked)):
+                expected_in = tuple(
+                    net.input_shape if src == -1 else shapes[src] for src in layer.inputs
+                )
+                assert triple == (layer, expected_in, shapes[i]), (net.name, i)
+                assert triple[0] is layer
+                assert net.layer_inputs(i) == expected_in, (net.name, i)
+                from_input += -1 in layer.inputs
+                two_input += len(layer.inputs) == 2
+        assert from_input >= len(nets) + 3
+        assert two_input == 4
+
+    def test_walk_stores_nothing_on_the_network(self):
+        net = _tiny_net()
+        before = dict(vars(net))
+        for _ in net.walk():
+            pass
+        assert vars(net) == before

@@ -3,16 +3,21 @@ properties, and the seed-determinism contract across executor backends."""
 
 from __future__ import annotations
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.collaborative import CollaborativeRepository
+from repro.core.representation import NetworkEncoder, network_content_hash
+from repro.nnir.flops import network_work
 from repro.search import (
     Candidate,
     EvolutionSpace,
     Genotype,
+    LayerMemo,
     MUTATION_KINDS,
     SearchConfig,
     accuracy_proxy,
@@ -96,6 +101,141 @@ class TestSpace:
         big = accuracy_proxy(300_000_000, 12)
         assert small < mid < big
         assert (mid - small) > (big - mid)  # diminishing returns
+
+
+def _genotypes_for_memo(space):
+    """Random genotypes with every stage at each depth bound and in
+    between, then a 200-step mutation chain."""
+    rng = np.random.default_rng(3)
+    genotypes = []
+    for depth in range(space.min_blocks, space.max_blocks + 1):
+        for _ in range(8):
+            widths = random_genotype(space, rng).stage_widths
+            blocks = tuple(
+                tuple(
+                    (int(rng.choice(space.expansions)), int(rng.choice(space.kernels)))
+                    for _ in range(depth)
+                )
+                for _ in range(space.n_stages)
+            )
+            genotypes.append(Genotype(stage_widths=widths, blocks=blocks))
+    genotype = random_genotype(space, rng)
+    for _ in range(200):
+        genotype, _ = mutate(genotype, space, rng)
+        genotypes.append(genotype)
+    return genotypes
+
+
+class TestLayerMemo:
+    def test_memoized_materialization_equals_plain(self):
+        """One memo across every depth bound and a mutation chain builds
+        networks equal to the memo-free ones in layers, shapes, content
+        hash, encoding bytes and work."""
+        space = EvolutionSpace()
+        genotypes = _genotypes_for_memo(space)
+        plain = [g.to_network(space, f"plain-{i}") for i, g in enumerate(genotypes)]
+        memo = LayerMemo(space)
+        memoized = [
+            g.to_network(space, f"memo-{i}", layers=memo) for i, g in enumerate(genotypes)
+        ]
+        encoder = NetworkEncoder(plain)
+        assert encoder.max_layers == space.max_network_layers
+        for a, b in zip(plain, memoized):
+            assert a.layers == b.layers, b.name
+            assert [repr(layer) for layer in a.layers] == [repr(layer) for layer in b.layers]
+            assert a.layer_shapes() == b.layer_shapes(), b.name
+            assert network_content_hash(a) == network_content_hash(b), b.name
+            assert encoder.encode(a).tobytes() == encoder.encode(b).tobytes(), b.name
+            work_a, work_b = network_work(a), network_work(b)
+            assert work_a == work_b, b.name
+            assert list(work_a.by_kind.items()) == list(work_b.by_kind.items()), b.name
+        assert 0 < len(memo) < sum(n.n_layers for n in memoized)
+
+    def test_equal_position_and_gene_share_one_layer(self):
+        space = EvolutionSpace()
+        memo = LayerMemo(space)
+        parent = Genotype(
+            stage_widths=(16, 24, 48, 80),
+            blocks=(((1, 3),), ((6, 3), (6, 5)), ((6, 3),), ((3, 3),)),
+        )
+        child = Genotype(  # the third stage's kernel flipped
+            stage_widths=parent.stage_widths,
+            blocks=(((1, 3),), ((6, 3), (6, 5)), ((6, 7),), ((3, 3),)),
+        )
+        a = parent.to_network(space, "a", layers=memo)
+        b = child.to_network(space, "b", layers=memo)
+        again = parent.to_network(space, "again", layers=memo)
+        assert all(x is y for x, y in zip(a.layers, again.layers))
+        flipped = 2 + 3  # after the stem pair and the first three blocks
+        assert all(x is y for x, y in zip(a.layers[:flipped], b.layers[:flipped]))
+        assert a.layers[flipped] is not b.layers[flipped]
+        assert a.layers[flipped] != b.layers[flipped]
+        # The block after the flip has the same position and gene.
+        assert a.layers[flipped + 1] is b.layers[flipped + 1]
+        assert all(x is y for x, y in zip(a.layers[-5:], b.layers[-5:]))
+        # Numpy integer genes are read as ints: same layers, same bytes.
+        numpy_genes = Genotype(
+            stage_widths=tuple(np.int64(w) for w in parent.stage_widths),
+            blocks=tuple(
+                tuple((np.int64(e), np.int64(k)) for e, k in stage) for stage in parent.blocks
+            ),
+        )
+        plain = numpy_genes.to_network(space, "numpy")
+        assert network_content_hash(plain) == network_content_hash(a)
+        memoized = numpy_genes.to_network(space, "numpy", layers=memo)
+        assert all(x is y for x, y in zip(memoized.layers, a.layers))
+
+    def test_threads_sharing_one_memo_keep_one_layer_per_key(self):
+        """Eight threads (more than cores) materialize the same genotypes
+        through one fresh memo per round, with a tiny switch interval.
+        Every network equals the memo-free one and holds exactly the
+        layer objects the memo keeps, so no concurrent miss replaced a
+        stored layer."""
+        space = EvolutionSpace()
+        genotypes = _genotypes_for_memo(space)[:24]
+        plain = [g.to_network(space, f"plain-{i}") for i, g in enumerate(genotypes)]
+
+        def work(memo, barrier, out):
+            barrier.wait(timeout=30)
+            for i, g in enumerate(genotypes):
+                out.append(g.to_network(space, f"thread-{i}", layers=memo))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                memo = LayerMemo(space)
+                built = [[] for _ in range(8)]
+                barrier = threading.Barrier(len(built))
+                threads = [
+                    threading.Thread(target=work, args=(memo, barrier, out)) for out in built
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert all(len(out) == len(genotypes) for out in built)
+                size = len(memo)
+                kept = [g.to_network(space, "kept", layers=memo) for g in genotypes]
+                assert len(memo) == size  # every layer was already stored
+                for out in built:
+                    for net, ref, expected in zip(out, kept, plain):
+                        assert net.layers == expected.layers
+                        assert all(a is b for a, b in zip(net.layers, ref.layers)), net.name
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_memo_refuses_another_space(self):
+        space = EvolutionSpace()
+        memo = LayerMemo(space)
+        genotype = random_genotype(space, np.random.default_rng(0))
+        genotype.to_network(space, "ok", layers=memo)
+        genotype.to_network(EvolutionSpace(), "equal space", layers=memo)
+        wider = EvolutionSpace(stem=24)
+        with pytest.raises(ValueError, match="different EvolutionSpace"):
+            genotype.to_network(wider, "wider", layers=memo)
+        assert genotype.to_network(wider, "plain").layers[0].op.out_channels == 24
 
 
 class TestParetoFront:
@@ -186,6 +326,28 @@ class TestRunSearch:
         )
         assert result.winner is None
         assert len(result.pareto) >= 1  # front exists regardless
+
+    @pytest.mark.parametrize("backend, jobs", [("serial", 1), ("thread", 3)])
+    def test_layer_memo_persists_across_generations(self, served, monkeypatch, backend, jobs):
+        """Every generation materializes through the run's one memo, so
+        an unchanged layer is the same object in the first and last
+        generation; a copy per executor map would rebuild it."""
+        calls = []
+        to_network = Genotype.to_network
+
+        def recording(genotype, space, name, layers=None):
+            network = to_network(genotype, space, name, layers=layers)
+            calls.append((layers, network))
+            return network
+
+        monkeypatch.setattr(Genotype, "to_network", recording)
+        config = self._config(generations=4, population=8, backend=backend, jobs=jobs)
+        run_search(BulkQueryPlane(served.service), served.device, config)
+        assert len(calls) == config.generations * config.population
+        memos = {id(layers) for layers, _ in calls}
+        assert len(memos) == 1 and isinstance(calls[0][0], LayerMemo)
+        stems = {id(network.layers[0]) for _, network in calls}
+        assert len(stems) == 1
 
     def test_one_bulk_call_per_generation(self, served):
         plane = BulkQueryPlane(served.service)
