@@ -64,8 +64,9 @@ class LayerWork(NamedTuple):
     by_kind: tuple[tuple[ComputeKind, int], ...]
 
 
-def _totals(primitives) -> tuple[int, int, dict[ComputeKind, int]]:
-    """MACs, activation bytes and per-kind MACs (first-appearance order)."""
+def _layer_work(op: Op, in_shapes: tuple[TensorShape, ...]) -> LayerWork:
+    """Lower one layer and total its primitives."""
+    primitives = tuple(op.primitives(in_shapes))
     macs = 0
     activation_bytes = 0
     by_kind: dict[ComputeKind, int] = {}
@@ -73,13 +74,6 @@ def _totals(primitives) -> tuple[int, int, dict[ComputeKind, int]]:
         macs += p.macs
         activation_bytes += p.input_bytes + p.output_bytes
         by_kind[p.kind] = by_kind.get(p.kind, 0) + p.macs
-    return macs, activation_bytes, by_kind
-
-
-def _layer_work(op: Op, in_shapes: tuple[TensorShape, ...]) -> LayerWork:
-    """Lower one layer and total its primitives."""
-    primitives = tuple(op.primitives(in_shapes))
-    macs, activation_bytes, by_kind = _totals(primitives)
     return LayerWork(
         primitives, op.param_count(in_shapes), macs, activation_bytes, tuple(by_kind.items())
     )
@@ -88,42 +82,37 @@ def _layer_work(op: Op, in_shapes: tuple[TensorShape, ...]) -> LayerWork:
 def network_work(network: Network, layers: dict[tuple, LayerWork] | None = None) -> NetworkWork:
     """Compute the full work profile of ``network``.
 
+    The network's totals are sums of its layers' :class:`LayerWork`.
     ``layers`` is an optional caller-owned memo mapping ``(layer.op,
     in_shapes)`` to that layer's :class:`LayerWork`. A layer found there
     is neither lowered nor totalled again; a layer missing from it is
-    lowered, totalled and stored, and the network's totals are sums of
-    its layers' totals. Ops and shapes are frozen dataclasses, so equal
-    keys mean the same operator class with equal fields, and the same
-    work. Integer sums do not depend on grouping, and merging each
-    layer's first-appearance ``by_kind`` in layer order gives the
-    first-appearance order over all primitives, so a memo changes no
-    value and no ``by_kind`` key order. Without a memo each layer is met
-    once, so the totals are taken over the primitives directly: building
-    per-layer totals only to add them up again made that path, the
-    pipeline's, slower.
+    lowered, totalled and stored. Ops and shapes are frozen dataclasses,
+    so equal keys mean the same operator class with equal fields, and
+    the same work. Integer sums do not depend on grouping, and merging
+    each layer's first-appearance ``by_kind`` in layer order gives the
+    first-appearance order over all primitives, so the totals and the
+    ``by_kind`` key order are those of one pass over the primitives, with
+    or without a memo.
     """
     primitives: list[PrimitiveWork] = []
     params = 0
-    if layers is None:
-        for layer, in_shapes, _ in network.walk():
-            primitives += layer.op.primitives(in_shapes)
-            params += layer.op.param_count(in_shapes)
-        macs, activation_bytes, by_kind = _totals(primitives)
-    else:
-        macs = 0
-        activation_bytes = 0
-        by_kind = {}
-        for layer, in_shapes, _ in network.walk():
+    macs = 0
+    activation_bytes = 0
+    by_kind: dict[ComputeKind, int] = {}
+    for layer, in_shapes, _ in network.walk():
+        if layers is None:
+            work = _layer_work(layer.op, in_shapes)
+        else:
             key = (layer.op, in_shapes)
             work = layers.get(key)
             if work is None:
                 work = layers[key] = _layer_work(layer.op, in_shapes)
-            primitives += work.primitives
-            params += work.params
-            macs += work.macs
-            activation_bytes += work.activation_bytes
-            for kind, kind_macs in work.by_kind:
-                by_kind[kind] = by_kind.get(kind, 0) + kind_macs
+        primitives += work.primitives
+        params += work.params
+        macs += work.macs
+        activation_bytes += work.activation_bytes
+        for kind, kind_macs in work.by_kind:
+            by_kind[kind] = by_kind.get(kind, 0) + kind_macs
     return NetworkWork(
         macs=macs,
         params=params,

@@ -111,12 +111,6 @@ class ComputeKind(enum.Enum):
     POOL = "pool"  # windowed or global pooling
     ELEMENTWISE = "elementwise"  # activations, residual adds, scaling
 
-    # Members are singletons that compare by identity, so the identity
-    # hash agrees with equality; unlike Enum's Python-level hash of the
-    # name it runs in C, and per-kind MAC sums key a dict by kind for
-    # every layer of every network priced.
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class PrimitiveWork:
