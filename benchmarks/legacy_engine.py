@@ -1,7 +1,12 @@
-"""Frozen copy of the pre-zero-copy campaign engine.
+"""Frozen copies of the seed's campaign loop and the pre-zero-copy engine.
 
-This module preserves, verbatim, the campaign hot path as it stood
-before the shared-memory/vectorized-tile PR:
+This module preserves, verbatim, two earlier campaign hot paths:
+
+- ``legacy_collect`` — the seed's serial per-pair loop, one
+  ``measure_ms`` call per (device, network) cell; the slowest reference
+  point of the campaign benchmarks;
+
+and the engine as it stood before the shared-memory/vectorized-tile PR:
 
 - ``legacy_measure_row_ms`` — the per-device row loop that rebuilt a
   ``default_rng`` (running SeedSequence's Python mixing loops) for
@@ -35,7 +40,21 @@ from repro.devices.measurement import MeasurementHarness
 from repro.generator.suite import BenchmarkSuite
 from repro.trust import robust_aggregate
 
-__all__ = ["legacy_collect_engine", "legacy_measure_row_ms", "legacy_process_map"]
+__all__ = [
+    "legacy_collect", "legacy_collect_engine", "legacy_measure_row_ms", "legacy_process_map",
+]
+
+
+def legacy_collect(
+    suite: BenchmarkSuite, fleet: DeviceFleet, harness: MeasurementHarness
+) -> np.ndarray:
+    """The seed's serial per-pair campaign — the fixed reference point."""
+    works = {network.name: suite.work(network.name) for network in suite}
+    matrix = np.empty((len(fleet), len(suite)))
+    for i, device in enumerate(fleet):
+        for j, network in enumerate(suite):
+            matrix[i, j] = harness.measure_ms(device, works[network.name], network.name)
+    return matrix
 
 
 def legacy_measure_row_ms(

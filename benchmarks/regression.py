@@ -108,16 +108,6 @@ def _timed(fn: Callable[[], object], *, inflate: bool = False) -> tuple[object, 
 # Benchmarks. Each returns {metric_name: measured_value}.
 
 
-def _legacy_collect(suite, fleet, harness) -> np.ndarray:
-    """The seed's serial per-pair campaign — the fixed reference point."""
-    works = {network.name: suite.work(network.name) for network in suite}
-    matrix = np.empty((len(fleet), len(suite)))
-    for i, device in enumerate(fleet):
-        for j, network in enumerate(suite):
-            matrix[i, j] = harness.measure_ms(device, works[network.name], network.name)
-    return matrix
-
-
 #: The zero-copy engine must beat the frozen pre-zero-copy engine on
 #: the process backend by at least this factor at paper scale — the
 #: tentpole's headline number, enforced as a hard floor in addition to
@@ -155,14 +145,14 @@ def bench_campaign(scale: str) -> dict[str, float]:
     current engine is a hard invariant — a divergence raises instead
     of gating.
     """
-    from benchmarks.legacy_engine import legacy_collect_engine
+    from benchmarks.legacy_engine import legacy_collect, legacy_collect_engine
 
     n_random, n_devices, jobs = SCALES[scale]
     suite = BenchmarkSuite.default(n_random=n_random, seed=0)
     fleet = build_fleet(n_devices, seed=0)
     harness = MeasurementHarness(seed=0)
 
-    legacy, legacy_s = _timed(lambda: _legacy_collect(suite, fleet, harness))
+    legacy, legacy_s = _timed(lambda: legacy_collect(suite, fleet, harness))
     frozen, frozen_serial_s = _best_of(
         lambda: legacy_collect_engine(suite, fleet, harness), _BENCH_REPEATS
     )
@@ -729,6 +719,11 @@ def bench_search(scale: str) -> dict[str, float]:
     short latency-constrained search run supplies end-to-end metrics
     (recorded, not gated — the search outcome is seed-deterministic,
     its wall time is machine-dependent).
+
+    Each bulk repeat times a cold generation: the first call of a fresh
+    plane (empty layer-row memo) over freshly built candidates, since a
+    ``Network`` caches its content hash. Both are built outside the
+    timer; ``bulk_s`` is the best of ``_BENCH_REPEATS`` such calls.
     """
     from repro.core.collaborative import CollaborativeRepository
     from repro.search import EvolutionSpace, SearchConfig, mutate, random_genotype, run_search
@@ -754,21 +749,25 @@ def bench_search(scale: str) -> dict[str, float]:
     # run_search() hands the plane every generation.
     space = EvolutionSpace()
     rng = np.random.default_rng(0)
-    candidates = []
+    genotypes = []
     genotype = None
     for i in range(population):
         if i % 25 == 0:
             genotype = random_genotype(space, rng)
         else:
             genotype, _ = mutate(genotype, space, rng)
-        candidates.append(genotype.to_network(space, f"gen-{i}"))
+        genotypes.append(genotype)
 
+    def generation():
+        return [g.to_network(space, f"gen-{i}") for i, g in enumerate(genotypes)]
+
+    candidates = generation()
     device = art.dataset.device_names[0]
     with tempfile.TemporaryDirectory(prefix="bench-search-") as registry_dir:
         registry = ModelRegistry(registry_dir)
         repo.publish_checkpoint(registry)
 
-        # Per-request reference: full encode per candidate, no caches,
+        # Per-request reference: full encode per candidate, no memo,
         # no batching (never inflated). Sampled and extrapolated.
         sample = candidates[:sample_n]
         with PredictionService(
@@ -787,12 +786,19 @@ def bench_search(scale: str) -> dict[str, float]:
         with PredictionService(
             registry, list(art.suite), dataset=art.dataset
         ) as service:
-            plane = BulkQueryPlane(service)
-            bulk_responses, bulk_s = _best_of(
-                lambda: plane.predict_block(candidates, device),
-                _BENCH_REPEATS,
-                inflate=True,
-            )
+
+            def cold_bulk():
+                """(last responses, best seconds) over cold generations."""
+                best_s = None
+                for _ in range(_BENCH_REPEATS):
+                    plane, fresh = BulkQueryPlane(service), generation()
+                    responses, elapsed = _timed(
+                        lambda: plane.predict_block(fresh, device), inflate=True
+                    )
+                    best_s = elapsed if best_s is None else min(best_s, elapsed)
+                return responses, best_s
+
+            bulk_responses, bulk_s = cold_bulk()
             bulk_sample = np.array(
                 [r.latency_ms for r in bulk_responses[:sample_n]], dtype=float
             )
@@ -809,12 +815,7 @@ def bench_search(scale: str) -> dict[str, float]:
             if scale == "full" and _slowdown() == 1.0 and bulk_speedup < MIN_BULK_SPEEDUP:
                 # One re-measure before declaring failure (scheduler
                 # noise on shared runners); best-of semantics persist.
-                fresh = BulkQueryPlane(service)
-                retry, retry_bulk_s = _best_of(
-                    lambda: fresh.predict_block(candidates, device),
-                    _BENCH_REPEATS,
-                    inflate=True,
-                )
+                retry, retry_bulk_s = cold_bulk()
                 retry_vec = np.array([r.latency_ms for r in retry], dtype=float)
                 full_vec = np.array(
                     [r.latency_ms for r in bulk_responses], dtype=float
@@ -832,7 +833,7 @@ def bench_search(scale: str) -> dict[str, float]:
                     "per-request definition path"
                 )
 
-            # End-to-end search on a fresh plane (cold caches): the
+            # End-to-end search on a fresh plane (empty memo): the
             # outcome is seed-deterministic; wall time is trend-only.
             search_plane = BulkQueryPlane(service)
             result, search_s = _timed(
@@ -849,11 +850,7 @@ def bench_search(scale: str) -> dict[str, float]:
             )
             stats = search_plane.stats
 
-    reuse_ratio = (
-        (stats["pred_hits"] + stats["dedup_hits"]) / stats["requests"]
-        if stats["requests"]
-        else 0.0
-    )
+    reuse_ratio = stats["dedup_hits"] / stats["requests"] if stats["requests"] else 0.0
     return {
         "bulk_speedup": bulk_speedup,
         "per_request_s": per_request_s,

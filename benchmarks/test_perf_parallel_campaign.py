@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import run_once
-from benchmarks.legacy_engine import legacy_collect_engine
+from benchmarks.legacy_engine import legacy_collect, legacy_collect_engine
 from repro.analysis.reporting import format_table
 from repro.dataset.collection import collect_dataset
 from repro.devices.measurement import MeasurementHarness
@@ -34,16 +34,6 @@ from repro.pipeline import build_paper_artifacts
 MIN_SPEEDUP = 2.0
 
 
-def _legacy_collect(suite, fleet, harness):
-    """The seed's serial per-pair campaign, kept as the baseline."""
-    works = {network.name: suite.work(network.name) for network in suite}
-    matrix = np.empty((len(fleet), len(suite)))
-    for i, device in enumerate(fleet):
-        for j, network in enumerate(suite):
-            matrix[i, j] = harness.measure_ms(device, works[network.name], network.name)
-    return matrix
-
-
 def test_perf_campaign_engine_speedup(benchmark, artifacts, report):
     suite, fleet = artifacts.suite, artifacts.fleet
     harness = MeasurementHarness(seed=0)
@@ -52,7 +42,7 @@ def test_perf_campaign_engine_speedup(benchmark, artifacts, report):
         timings = {}
 
         start = time.perf_counter()
-        legacy = _legacy_collect(suite, fleet, harness)
+        legacy = legacy_collect(suite, fleet, harness)
         timings["legacy per-pair loop"] = time.perf_counter() - start
 
         start = time.perf_counter()

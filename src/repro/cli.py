@@ -713,10 +713,9 @@ def _cmd_search(args, art) -> int:
         print(f"  {c.content_hash[:12]}  {c.latency_ms:8.2f} ms  "
               f"acc~{c.accuracy:6.2f}  {c.genotype.n_blocks} blocks")
     total = max(stats["requests"], 1)
-    reused = stats["pred_hits"] + stats["dedup_hits"]
     print(f"bulk plane : {stats['requests']} queries, {stats['predicted']} "
-          f"predicted ({100 * reused / total:.0f}% served from "
-          f"dedup/cache), {stats['enc_evictions']} encoder evictions")
+          f"predicted ({100 * stats['dedup_hits'] / total:.0f}% answered as "
+          f"in-call duplicates), {plane.cache_info()['layer_rows']} layer rows")
     print(f"digest     : {result.digest}")
     return 0
 

@@ -384,10 +384,8 @@ def build_search_plane(
     members: int | None = None,
     seed: int = 0,
     publish: bool = False,
-    max_encodings: int = 4096,
-    max_encoding_bytes: int | None = None,
 ):
-    """The artifacts-to-search bridge: a served, cached bulk query plane.
+    """The artifacts-to-search bridge: a served bulk query plane.
 
     Publishes a collaborative checkpoint when the registry is empty (or
     ``publish`` forces a fresh version), starts a
@@ -408,9 +406,4 @@ def build_search_plane(
             seed=seed,
         )
     service = PredictionService(registry, list(artifacts.suite), dataset=artifacts.dataset)
-    plane = BulkQueryPlane(
-        service,
-        max_encodings=max_encodings,
-        max_encoding_bytes=max_encoding_bytes,
-    )
-    return service, plane
+    return service, BulkQueryPlane(service)

@@ -270,9 +270,10 @@ def run_search(
 
         if generation == config.generations - 1:
             break
-        # Elitism: the fittest candidate survives unchanged (its
-        # prediction is a cache hit next generation); the rest of the
-        # next population are tournament-selected mutated children.
+        # Elitism: the fittest candidate survives unchanged (and is
+        # re-predicted next generation, its layers all memo hits); the
+        # rest of the next population are tournament-selected mutated
+        # children.
         elite = ranked[0]
         next_population: list[Genotype] = [elite.genotype]
         while len(next_population) < config.population:

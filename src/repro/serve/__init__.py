@@ -19,17 +19,17 @@ the trained model into a long-lived, in-process service:
   pieces every predict path shares — the fallback chain
   (:meth:`~repro.serve.service.Router.chain`) and the scoring kernel
   (:meth:`~repro.serve.service.PredictionService.score`, one flat-SoA
-  ``predict_block`` call per routed block);
+  ``predict_block`` call per routed block), joined in one walk
+  (:meth:`~repro.serve.service.PredictionService.answer`);
 - :mod:`repro.serve.resilience` — bounded admission, circuit breakers,
   the static fallback estimator and seeded serving chaos;
 - :mod:`repro.serve.loadgen` — a deterministic closed- and open-loop
   load generator (seeded request mix of warm / cold devices and
   unknown-network misses) reporting p50/p99 latency and throughput;
 - :mod:`repro.serve.bulk` — the :class:`BulkQueryPlane`: a
-  generation-at-a-time query path for architecture-search consumers
-  with content-hash dedup, an encoding LRU, a layer-row memo that
-  encodes each distinct layer once per plane, and one kernel call per
-  block.
+  generation-at-a-time front over the service's walk for
+  architecture-search consumers, with in-call content-hash dedup and a
+  layer-row memo that encodes each distinct layer once per plane.
 
 Determinism contract: a prediction depends only on the (network,
 hardware-signature, model-version) triple — never on how requests were

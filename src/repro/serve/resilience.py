@@ -256,12 +256,6 @@ class CircuitBreaker:
             telemetry.count("serve.breaker.probe")
             return True
 
-    def cancel_probe(self) -> None:
-        """Release an admitted probe that had no work (a fully cached block)."""
-        with self._lock:
-            if self._state == BREAKER_HALF_OPEN:
-                self._probe_in_flight = False
-
     def record_success(self) -> None:
         """A use of the resource succeeded; half-open probes recover."""
         with self._lock:

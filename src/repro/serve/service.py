@@ -5,8 +5,10 @@ at production rates: requests enter a thread-safe ingress (or the
 asyncio facade), are coalesced by the
 :class:`~repro.serve.batcher.MicroBatcher`, and each flush is answered
 block-wise. Every predict path — one request, a micro-batch, a bulk
-block (:class:`~repro.serve.bulk.BulkQueryPlane`) — is built from two
-pieces:
+block (:class:`~repro.serve.bulk.BulkQueryPlane`) — answers through one
+walk, :meth:`PredictionService.answer`, over rows whose networks are
+already resolved (a suite row, an encoding or a miss reason). The walk
+is built from two pieces:
 
 - **the chain** — :meth:`Router.chain` lists a cluster's fallback
   candidates against one atomic snapshot of the model tables:
@@ -18,14 +20,16 @@ pieces:
   fault, calls :meth:`~repro.ml.gbt.GradientBoostedTrees.predict_block`,
   records the outcome and counts ``served_by`` / ``fallback`` tiers.
 
-A caller walks the chain with a whole block. The first model (the
-*routed* one) decides whether a device is servable at all: a miss
-``cold_device`` without warm or shipped measurements, ``signature``
-with some missing. A tier whose breaker refuses or whose call fails
-passes the whole block on; a fallback model that cannot see a device's
-signature passes only that device's rows on. What no model answers
-gets the static tier, else misses ``degraded`` (``no_model`` when the
-chain has no model). Misses are *responses*, not exceptions.
+A row whose source is a miss reason (``unknown_network``,
+``unencodable``) misses before routing, on any device. The rest go down
+their chain as one block. The first model (the *routed* one) decides
+whether a device is servable at all: a miss ``cold_device`` without
+warm or shipped measurements, ``signature`` with some missing. A tier
+whose breaker refuses or whose call fails passes the whole block on; a
+fallback model that cannot see a device's signature passes only that
+device's rows on. What no model answers gets the static tier, else
+misses ``degraded`` (``no_model`` when the chain has no model). Misses
+are *responses*, not exceptions.
 
 Each loaded model caches the bin codes of the whole encoded suite, so a
 request only pays for binning its signature; :meth:`~PredictionService.
@@ -464,16 +468,15 @@ class PredictionService:
 
         Returns one latency per ``net_codes`` row, or ``None`` when the
         model's breaker refuses or the (possibly injected) call fails —
-        the caller then hands the block to its next tier. An admitted
-        empty block (say, every row a cache hit) releases its half-open
-        probe instead of predicting.
+        the caller then hands the block to its next tier. An empty block
+        is answered before the breaker, so it never takes a half-open
+        probe.
         """
+        if not len(net_codes):
+            return np.empty(0)
         breaker = self._breaker(loaded.key)
         if not breaker.allow():
             return None
-        if not len(net_codes):
-            breaker.cancel_probe()
-            return np.empty(0)
         entity = f"{loaded.key[0]}-v{loaded.key[1]}"
         fault = self.resilience.fault_plan
         try:
@@ -490,16 +493,6 @@ class PredictionService:
             telemetry.count(f"serve.fallback.{tier}", len(pred))
         return pred
 
-    def signature_vector(
-        self, loaded: LoadedModel, device: str, signature_ms: Mapping[str, float] | None
-    ) -> np.ndarray | str:
-        """The device's signature vector for ``loaded``, or a miss reason."""
-        values = self._signature_values(loaded.signature_names, device, signature_ms)
-        if isinstance(values, str):
-            return values
-        vector = np.array(values)
-        return vector if np.isfinite(vector).all() else MISS_SIGNATURE
-
     def _signature_values(
         self, names: Sequence[str], device: str, signature_ms: Mapping[str, float] | None
     ) -> list[float] | str:
@@ -513,14 +506,14 @@ class PredictionService:
             return MISS_SIGNATURE
 
     def _signature_block(
-        self, loaded: LoadedModel, requests: list[PredictRequest], rows: list[int]
+        self, loaded: LoadedModel, requests: Sequence[PredictRequest], rows: list[int]
     ) -> tuple[list[int], np.ndarray, dict[int, str]]:
         """``rows``' signature vectors for ``loaded``, built as one block.
 
         Returns the rows with a servable signature, their vectors
-        stacked in that order, and a miss reason for every other row —
-        row for row what :meth:`signature_vector` returns, without a
-        numpy call per row.
+        stacked in that order, and a miss reason for every other row:
+        ``cold_device`` without measurements, ``signature`` with one
+        missing or not finite.
         """
         names = loaded.signature_names
         ready: list[int] = []
@@ -579,32 +572,43 @@ class PredictionService:
         """Map a batcher shed (overload / deadline) to a typed miss response."""
         return self.miss(request, MISS_OVERLOADED if reason == SHED_OVERLOADED else MISS_DEADLINE)
 
-    # -- the micro-batch flush ------------------------------------------
+    # -- the walk -------------------------------------------------------
 
     def _flush(self, requests: list[PredictRequest]) -> list[PredictResponse]:
-        """Answer one micro-batch: one walk per chain, one kernel call per tier.
+        """Answer one micro-batch: resolve each row's network, then :meth:`answer`."""
+        start = time.perf_counter()
+        responses = self.answer(requests, [self._network_source(r) for r in requests])
+        telemetry.observe("serve.predict_ms", (time.perf_counter() - start) * 1e3)
+        return responses
 
-        Rows group by the chain their cluster routes to — clusters that
+    def answer(
+        self, requests: Sequence[PredictRequest], sources: Sequence[int | np.ndarray | str]
+    ) -> list[PredictResponse]:
+        """Answer rows whose networks are resolved: one walk per chain.
+
+        ``sources[i]`` is request ``i``'s suite row index, its encoded
+        network vector, or a miss reason that answers the row at once.
+        The micro-batch flush and the bulk plane both answer here. Rows
+        group by the chain their cluster routes to — clusters that
         share every tier's candidate (say, two unpublished clusters that
         both route to ``default``) share one block — and each group
         walks its chain once, so a failing model costs one fault draw
-        and one breaker failure per flush, whatever the block size. Row
+        and one breaker failure per call, whatever the block size. Row
         order within a block follows request order and every step is
         row-independent — byte-identical to serving each request alone.
+        Each row counts once in ``serve.requests`` and once in
+        ``serve.served_by.*`` or ``serve.miss.*``.
         """
-        start = time.perf_counter()
         telemetry.count("serve.requests", len(requests))
-        router = self.router  # one atomic snapshot for the whole batch
+        router = self.router  # one atomic snapshot for the whole block
         responses: list[PredictResponse | None] = [None] * len(requests)
-        sources: list[int | np.ndarray | None] = [None] * len(requests)
         chain_keys: dict[str, tuple] = {}
         groups: dict[tuple, tuple[list[Candidate], list[int]]] = {}
         for i, request in enumerate(requests):
-            source = self._network_source(request)
+            source = sources[i]
             if isinstance(source, str):
                 responses[i] = self.miss(request, source)
                 continue
-            sources[i] = source
             key = chain_keys.get(request.cluster)
             if key is None:
                 chain = router.chain(request.cluster)
@@ -617,7 +621,6 @@ class PredictionService:
             groups[key][1].append(i)
         for chain, rows in groups.values():
             self._walk(chain, requests, rows, sources, responses)
-        telemetry.observe("serve.predict_ms", (time.perf_counter() - start) * 1e3)
         return responses  # type: ignore[return-value]
 
     def _network_source(self, request: PredictRequest) -> int | np.ndarray | str:
@@ -628,7 +631,8 @@ class PredictionService:
             if request.definition is None:
                 return MISS_UNKNOWN_NETWORK
         # Ad-hoc candidate: a full from-scratch encode per request, by
-        # design — the reference path the bulk plane's caches amortize.
+        # design — the reference path the bulk plane's layer-row memo
+        # amortizes.
         try:
             encoded = self._enc.encoder.encode(request.definition)
         except ValueError:
@@ -637,8 +641,8 @@ class PredictionService:
         return encoded
 
     def _walk(
-        self, chain: list[Candidate], requests: list[PredictRequest], pending: list[int],
-        sources: list, responses: list[PredictResponse | None],
+        self, chain: list[Candidate], requests: Sequence[PredictRequest], pending: list[int],
+        sources: Sequence, responses: list[PredictResponse | None],
     ) -> None:
         """Serve one chain's rows down it, one kernel call per tier."""
         for n, (tier, loaded) in enumerate(chain):

@@ -506,24 +506,14 @@ def summarize(reg: MetricsRegistry | None = None) -> dict[str, Any]:
         },
     }
     bulk_requests = counters.get("serve.bulk.requests", 0)
-    pred_hits = counters.get("serve.bulk.pred_hits", 0)
     dedup_hits = counters.get("serve.bulk.dedup_hits", 0)
-    enc_hits = counters.get("serve.bulk.enc_hits", 0)
-    enc_misses = counters.get("serve.bulk.enc_misses", 0)
-    enc_probes = enc_hits + enc_misses
     serve["bulk"] = {
         "calls": counters.get("serve.bulk.calls", 0),
         "requests": bulk_requests,
         "predicted": counters.get("serve.bulk.predicted", 0),
-        "prediction_hits": pred_hits,
         "dedup_hits": dedup_hits,
-        "dedup_ratio": (
-            (pred_hits + dedup_hits) / bulk_requests if bulk_requests else None
-        ),
-        "encoding_hits": enc_hits,
-        "encoding_misses": enc_misses,
-        "encoding_hit_ratio": enc_hits / enc_probes if enc_probes else None,
-        "encoding_evictions": counters.get("serve.bulk.enc_evictions", 0),
+        "dedup_ratio": dedup_hits / bulk_requests if bulk_requests else None,
+        "encoded": counters.get("serve.bulk.enc_misses", 0),
         "encoding_rows_reused": counters.get("encode.rows_reused", 0),
         "encoding_rows_computed": counters.get("encode.rows_computed", 0),
     }

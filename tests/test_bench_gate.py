@@ -275,6 +275,31 @@ class TestRunGate:
         assert regression.run_gate(args) == 1
 
 
+class TestSearchBench:
+    def test_each_timed_bulk_call_is_a_cold_generation(self, tmp_path, monkeypatch):
+        """Every timed generation is a fresh plane's first call over
+        networks whose content hashes are not cached yet, so no repeat is
+        answered from an earlier one's work."""
+        from repro.serve import BulkQueryPlane
+
+        monkeypatch.setattr(regression, "BASELINE_DIR", tmp_path)  # artifact cache
+        monkeypatch.delenv("REPRO_BENCH_SLOWDOWN", raising=False)
+        population = regression.SEARCH_SCALES["small"][0]
+        calls = []
+        predict_block = BulkQueryPlane.predict_block
+
+        def recording(plane, networks, device, **kwargs):
+            if len(networks) == population:  # the timed generations
+                hashed = sum("content_hash" in vars(n) for n in networks)
+                calls.append((plane.stats["calls"], hashed))
+            return predict_block(plane, networks, device, **kwargs)
+
+        monkeypatch.setattr(BulkQueryPlane, "predict_block", recording)
+        metrics = regression.bench_search("small")
+        assert calls == [(0, 0)] * regression._BENCH_REPEATS
+        assert metrics["bulk_speedup"] > 0
+
+
 class TestGateReporting:
     def test_informational_metrics_appear_with_info_marker(
         self, tmp_path, monkeypatch, capsys

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.collaborative import CollaborativeRepository
 from repro.core.representation import NetworkEncoder, network_content_hash
 from repro.nnir.flops import network_work
@@ -352,14 +353,17 @@ class TestRunSearch:
     def test_one_bulk_call_per_generation(self, served):
         plane = BulkQueryPlane(served.service)
         config = self._config(generations=4, population=8)
-        run_search(plane, served.device, config)
-        assert plane.stats["calls"] == config.generations
-        assert plane.stats["requests"] == config.generations * config.population
-        # Elite survivors and revisited candidates come from the caches.
-        assert plane.stats["pred_hits"] + plane.stats["dedup_hits"] >= (
-            config.generations - 1
-        )
-        assert plane.stats["predicted"] < plane.stats["requests"]
+        with telemetry.scoped_registry() as reg:
+            run_search(plane, served.device, config)
+            counters = reg.snapshot()["counters"]
+        stats = plane.stats
+        assert stats["calls"] == config.generations
+        assert stats["requests"] == config.generations * config.population
+        # Every query is an in-call duplicate or a distinct row the
+        # service walk answered, with a latency or a miss.
+        misses = sum(v for k, v in counters.items() if k.startswith("serve.miss."))
+        assert counters["serve.requests"] == stats["predicted"] + misses
+        assert stats["requests"] == stats["dedup_hits"] + counters["serve.requests"]
 
     def test_space_too_deep_for_encoder_raises(self, served):
         deep = EvolutionSpace(max_blocks=64)

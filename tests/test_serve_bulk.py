@@ -1,10 +1,10 @@
 """Bulk query plane tests: byte-identity against the per-request and
-micro-batched paths, content-hash dedup within and across calls, LRU
-eviction under a tiny budget, layer-row memo reuse and its bound after
-depth/width/kernel mutations, hot-swap (refresh) freshness, and the
-shared fallback chain: a bulk block and a micro-batch of the same rows
-get the same tier, cluster, version and latency bytes in every
-degraded case, and a failing group costs one kernel call per tier."""
+micro-batched paths, content-hash dedup within a call, layer-row memo
+reuse and its bound after depth/width/kernel mutations, hot-swap
+(refresh) freshness, and the shared walk: a bulk block and a
+micro-batch of the same rows get the same tier, cluster, version,
+miss reason and latency bytes in every degraded case, and a failing
+group costs one kernel call per tier."""
 
 from __future__ import annotations
 
@@ -57,6 +57,16 @@ def _candidates(n, seed=0, space=None):
     rng = np.random.default_rng(seed)
     genotypes = [random_genotype(space, rng) for _ in range(n)]
     return [g.to_network(space, f"cand-{i}") for i, g in enumerate(genotypes)]
+
+
+def _too_deep(encoder, seed):
+    """A candidate with more layers than ``encoder`` can encode."""
+    space = EvolutionSpace(max_blocks=encoder.max_layers)
+    rng = np.random.default_rng(seed)
+    g = random_genotype(space, rng)
+    while g.to_network(space, "deep").n_layers <= encoder.max_layers:
+        g, _ = mutate(g, space, rng)
+    return g.to_network(space, "deep")
 
 
 class TestByteIdentity:
@@ -135,43 +145,6 @@ class TestDedupAndCaches:
         assert responses[0].latency_ms == responses[1].latency_ms
         assert responses[1].network == "beta"
 
-    def test_cross_call_prediction_cache(self, served):
-        nets = _candidates(5, seed=5)
-        plane = BulkQueryPlane(served.service)
-        first = plane.predict_block(nets, served.device)
-        second = plane.predict_block(nets, served.device)
-        assert plane.stats["predicted"] == 5
-        assert plane.stats["pred_hits"] == 5
-        a = np.array([r.latency_ms for r in first])
-        b = np.array([r.latency_ms for r in second])
-        assert a.tobytes() == b.tobytes()
-
-    def test_encoding_lru_eviction_under_tiny_budget(self, served):
-        nets = _candidates(8, seed=6)
-        plane = BulkQueryPlane(
-            served.service, max_encodings=2, max_predictions=2
-        )
-        responses = plane.predict_block(nets, served.device)
-        assert all(r.ok for r in responses)
-        assert plane.stats["enc_evictions"] >= 6
-        info = plane.cache_info()
-        assert info["encodings"] <= 2
-        assert info["predictions"] <= 2
-        # Evicted encodings re-encode on the next call, but the values
-        # must not change (the caches are an optimization, not state).
-        again = plane.predict_block(nets, served.device)
-        a = np.array([r.latency_ms for r in responses])
-        b = np.array([r.latency_ms for r in again])
-        assert a.tobytes() == b.tobytes()
-
-    def test_byte_budget_evicts(self, served):
-        nets = _candidates(6, seed=7)
-        one_encoding = 64  # bytes: far below a single entry's footprint
-        plane = BulkQueryPlane(served.service, max_encoding_bytes=one_encoding)
-        plane.predict_block(nets, served.device)
-        assert plane.stats["enc_evictions"] >= 5
-        assert plane.cache_info()["encodings"] == 1  # keeps at least one
-
 
 class TestMutationChildren:
     def test_children_reuse_parent_encodings(self, served):
@@ -219,17 +192,17 @@ class TestMutationChildren:
     def test_threads_share_the_memo_without_lost_updates(self, served):
         """Eight threads on one plane, released together and switching
         every microsecond, two per block of candidates that share layers
-        with the other blocks: every distinct candidate and every
-        distinct layer is encoded exactly once, and every answer equals a
-        serial plane's. Repeated on fresh planes, since a race shows only
-        in some rounds."""
+        with the other blocks: each call encodes its own distinct
+        candidates, every distinct layer is encoded exactly once, and
+        every answer equals a serial plane's. Repeated on fresh planes,
+        since a race shows only in some rounds."""
         import sys
         import threading
 
         blocks = [_candidates(6, seed=20 + k) for k in range(4)]
         serial = BulkQueryPlane(served.service)
         expected = [serial.predict_block(b, served.device) for b in blocks]
-        distinct = {network_content_hash(n) for b in blocks for n in b}
+        encodes = sum(len({network_content_hash(n) for n in blocks[k % 4]}) for k in range(8))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -250,7 +223,7 @@ class TestMutationChildren:
                         t.join(timeout=60)
                     computed = reg.counter_value("encode.rows_computed")
                 assert not any(t.is_alive() for t in threads)
-                assert plane.stats["enc_misses"] == len(distinct)
+                assert plane.stats["enc_misses"] == encodes
                 assert computed == plane.cache_info()["layer_rows"]
                 for k, got in enumerate(answers):
                     a = np.array([r.latency_ms for r in got])
@@ -262,13 +235,7 @@ class TestMutationChildren:
 
 class TestMisses:
     def test_too_deep_candidate_misses_unencodable(self, served):
-        encoder = served.service.encoder
-        space = EvolutionSpace(max_blocks=encoder.max_layers)  # way too deep
-        rng = np.random.default_rng(10)
-        g = random_genotype(space, rng)
-        while g.to_network(space, "deep").n_layers <= encoder.max_layers:
-            g, _ = mutate(g, space, rng)
-        deep = g.to_network(space, "deep")
+        deep = _too_deep(served.service.encoder, seed=10)
         ok = _candidates(2, seed=11)
         plane = BulkQueryPlane(served.service)
         responses = plane.predict_block([ok[0], deep, ok[1]], served.device)
@@ -353,17 +320,11 @@ class TestPerRequestDefinitionPath:
         assert response.error == "unknown_network"
 
     def test_definition_deeper_than_encoder_misses(self, served):
-        encoder = served.service.encoder
-        space = EvolutionSpace(max_blocks=encoder.max_layers)
-        rng = np.random.default_rng(15)
-        g = random_genotype(space, rng)
-        while g.to_network(space, "deep").n_layers <= encoder.max_layers:
-            g, _ = mutate(g, space, rng)
         response = served.service.predict(
             PredictRequest(
                 network="deep",
                 device=served.device,
-                definition=g.to_network(space, "deep"),
+                definition=_too_deep(served.service.encoder, seed=15),
             )
         )
         assert response.error == MISS_UNENCODABLE
@@ -478,6 +439,19 @@ def test_bulk_and_micro_batch_walk_the_same_chain(
     assert {outcome(r)[:3] for r in bulk} == {expected}
     if expected[0] is None:
         assert {r.error for r in bulk} == {"cold_device"}
+
+
+def test_bulk_and_micro_batch_miss_alike_on_a_cold_device(served):
+    """Both paths resolve each row's network before routing: on a device
+    without a signature, an unencodable candidate misses ``unencodable``
+    and an encodable one ``cold_device``."""
+    block = [_candidates(1, seed=16)[0], _too_deep(served.service.encoder, seed=17)]
+    bulk = BulkQueryPlane(served.service).predict_block(block, "never-seen-device")
+    batched = served.service.predict_many(
+        [PredictRequest(n.name, "never-seen-device", definition=n) for n in block]
+    )
+    assert [outcome(r) for r in bulk] == [outcome(r) for r in batched]
+    assert [r.error for r in bulk] == ["cold_device", MISS_UNENCODABLE]
 
 
 def test_bulk_serves_static_tier_after_total_checkpoint_loss(

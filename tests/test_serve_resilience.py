@@ -192,15 +192,6 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.state == "closed" and breaker.allow()
 
-    def test_cancel_probe_releases_the_slot(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker("m", failure_threshold=1, reset_after_s=1, clock=clock)
-        breaker.record_failure()
-        clock.now = 2.0
-        assert breaker.allow() and not breaker.allow()
-        breaker.cancel_probe()
-        assert breaker.allow()  # slot free again
-
 
 # ---------------------------------------------------------------------------
 # Bounded admission + deadlines (MicroBatcher)
@@ -373,6 +364,33 @@ class TestServiceResilience:
             assert counters["serve.breaker.probe"] == 2
             assert counters["serve.breaker.recover"] == 1
             assert counters["serve.fault.predict"] == 3
+
+    def test_empty_score_uses_no_probe(self, tmp_path, trained, small_suite, small_dataset):
+        """An empty block is answered before the breaker: past the
+        cooldown it takes no half-open probe, so the next non-empty call
+        is admitted as the probe and closes the breaker."""
+        reg = ModelRegistry(tmp_path / "r")
+        publish(reg, trained, small_dataset)
+        clock = FakeClock()
+        with telemetry.scoped_registry() as treg:
+            with PredictionService(
+                reg, list(small_suite), dataset=small_dataset,
+                resilience=ResilienceConfig(breaker_threshold=1, breaker_reset_s=1.0),
+            ) as service:
+                service._breaker_clock = clock
+                loaded = service.router.models[DEFAULT_CLUSTER]
+                service._breaker(loaded.key).record_failure()
+                clock.now = 2.0  # cooldown over: the next admitted call is the probe
+                empty = service.score(
+                    loaded, loaded.net_codes[:0], np.empty((0, 0), dtype=np.uint8), "primary"
+                )
+                assert empty is not None and len(empty) == 0
+                response = service.predict(warm_request(small_dataset))
+                assert service.health()["breakers"] == {"default-v1": "closed"}
+            counters = treg.snapshot()["counters"]
+        assert response.served_by == "primary"
+        assert counters["serve.breaker.probe"] == 1
+        assert counters["serve.breaker.recover"] == 1
 
     def test_stale_tier_serves_when_primary_breaker_open(self, tmp_path, trained,
                                                          small_suite, small_dataset):
